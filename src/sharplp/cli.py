@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -126,12 +127,19 @@ def parse_config(argv: Sequence[str] | None = None) -> CommandConfig:
     )
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+@contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """stdout, or the --out file (no newline translation)."""
     if out_path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 def _json_text(obj: Any) -> str:
@@ -184,11 +192,15 @@ def _run_contour(config: CommandConfig) -> int:
         o["n_alpha"], o["n_p"],
     )
     if config.format == "csv":
-        lines = ["alpha,p,value"]
-        for i, p in enumerate(ps):
-            for j, a in enumerate(alphas):
-                lines.append(f"{a:.17g},{p:.17g},{values[i, j]:.17g}")
-        _write_output("\n".join(lines) + "\n", config.out_path)
+        # one p-row block at a time; the alpha labels are formatted once
+        alpha_labels = [f"{a:.17g}," for a in alphas.tolist()]
+        with _output(config.out_path) as fh:
+            fh.write("alpha,p,value\n")
+            for p, row in zip(ps.tolist(), values):
+                p_label = f"{p:.17g},"
+                fh.write("".join([
+                    f"{a}{p_label}{v:.17g}\n" for a, v in zip(alpha_labels, row.tolist())
+                ]))
     else:
         rows = [
             [float(a), float(p), float(values[i, j])]

@@ -36,6 +36,11 @@ class ZeroNorm(SharpLpError):
     """A norm appearing in a denominator is zero."""
 
 
+class NumericRange(SharpLpError):
+    """A computed side is not a finite double: the exponent lies beyond the
+    range the double-precision path can evaluate."""
+
+
 class ZeroPair(SharpLpError):
     """Both functions vanish identically; nothing can be normalized."""
 

@@ -9,6 +9,9 @@ with the coupling ratio gamma_tilde = ||fg||_{p/2} * ((||f||_p^p +
 reverses for p in (-inf,0) u (1,2); p = 1 (nonnegative inputs) and p = 2 are
 identities.  The classical interpolation uses the larger ratio
 gamma = ||fg||_{p/2} / (||f||_p ||g||_p) and is dominated for p >= 2.
+
+``main_sides_batch`` evaluates both sides for a whole stack of instances in
+one array pass; ``main_sides`` and ``gamma_pair`` are that kernel on one row.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import numpy as np
 from .audit import h_of_a, invert_b
 from .errors import (
     ExponentOutOfRange,
+    MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
     NotProbabilitySpace,
@@ -34,10 +38,11 @@ from .measure import (
     MeasureSpace,
     RegionKind,
     SimpleFunction,
-    lp_functional,
-    lp_norm,
-    overlap_norm,
+    check_stack,
+    overlap_norm_rows,
+    power_rows,
 )
+from .precision import require_finite
 
 RELATIVE_SLACK = 1e-9
 
@@ -82,32 +87,97 @@ class JensenReport:
     satisfied: bool
 
 
-def _validate_pair(f: SimpleFunction, g: SimpleFunction, p: float) -> None:
+@dataclass(frozen=True)
+class SidesBatch:
+    """Both sides of the bound for a stack of instances, one entry per row.
+
+    ``gamma`` and ``carbery_rhs`` are NaN on rows where f or g has a zero
+    functional.  Under ``SHARPLP_PRECISION=high`` the arrays hold mpf.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    carbery_rhs: np.ndarray
+    gamma: np.ndarray
+    gamma_tilde: np.ndarray
+
+
+def _validate_pair(f: np.ndarray, g: np.ndarray, p: float) -> None:
+    """Checks on the points (not the padding) of f and g."""
     if p == 0.0:
         raise ZeroExponent("p = 0 is not admissible")
-    if np.any(f.values < 0.0) or np.any(g.values < 0.0):
+    if (f < 0.0).any() or (g < 0.0).any():
         raise NegativeInput("f and g must be nonnegative")
-    if 1.0 < p < 2.0 and (np.any(f.values == 0.0) or np.any(g.values == 0.0)):
+    if (p < 0.0 or 1.0 < p < 2.0) and ((f == 0.0).any() or (g == 0.0).any()):
         raise NonpositiveValueForNegativeP(
-            "the reverse range 1 < p < 2 requires strictly positive values"
+            "p < 0 and the reverse range 1 < p < 2 require strictly positive values"
         )
+
+
+def main_sides_batch(
+    f: np.ndarray,
+    g: np.ndarray,
+    weights: np.ndarray,
+    p: float,
+    mask: np.ndarray | None = None,
+) -> SidesBatch:
+    """Both sides of the sharpened inequality for every row of a stack.
+
+    f, g and weights are (instances, points) arrays, zero-padded, with
+    ``mask`` marking the points of each row (see ``measure.check_stack``).
+    Every check of the scalar path applies to every row; a side that is not
+    a finite double raises NumericRange instead of giving a verdict.
+    """
+    p = float(p)
+    f, weights, mask = check_stack(f, weights, mask)
+    g, _, _ = check_stack(g, weights, mask)
+    _validate_pair(f[mask], g[mask], p)
+    lhs = power_rows(f + g, weights, mask, p)
+    F = power_rows(f, weights, mask, p)
+    G = power_rows(g, weights, mask, p)
+    S = F + G
+    if np.any(S == 0.0):
+        raise ZeroNorm("f and g cannot both vanish identically")
+    ov = overlap_norm_rows(f, g, weights, p, mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
+        rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+
+        both = (F > 0.0) & (G > 0.0)
+        gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
+        carbery_rhs = gamma.copy()
+        norms = power_rows(f[both], weights[both], mask[both], p, root=True) * power_rows(
+            g[both], weights[both], mask[both], p, root=True
+        )
+        gamma[both] = ov[both] / norms
+        carbery_rhs[both] = (1.0 + gamma[both]) ** (p - 1.0) * S[both]
+    require_finite(
+        p, rhs=rhs, gamma_tilde=gamma_tilde,
+        gamma=gamma[both], carbery_rhs=carbery_rhs[both],
+    )
+    return SidesBatch(
+        lhs=lhs, rhs=rhs, carbery_rhs=carbery_rhs, gamma=gamma, gamma_tilde=gamma_tilde
+    )
+
+
+def _one_row(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float) -> SidesBatch:
+    if len(f) != len(space) or len(g) != len(space):
+        raise MisalignedFunction(
+            f"functions have {len(f)} and {len(g)} values but the space has "
+            f"{len(space)} points"
+        )
+    return main_sides_batch(f.values[None], g.values[None], space.weights[None], p)
 
 
 def gamma_pair(
     f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float
 ) -> tuple[float, float]:
     """Both coupling ratios (gamma, gamma_tilde); gamma_tilde <= gamma for p > 0."""
-    p = float(p)
-    _validate_pair(f, g, p)
-    nf = lp_norm(f, space, p)
-    ng = lp_norm(g, space, p)
-    if nf == 0.0 or ng == 0.0:
+    sides = _one_row(f, g, space, p)
+    gamma = sides.gamma.item(0)
+    if math.isnan(gamma):  # f or g vanishes identically
         raise ZeroNorm("gamma needs nonzero norms of both functions")
-    ov = overlap_norm(f, g, space, p)
-    S = lp_functional(f, space, p) + lp_functional(g, space, p)
-    gamma = ov / (nf * ng)
-    gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
-    return gamma, gamma_tilde
+    return gamma, sides.gamma_tilde.item(0)
 
 
 def main_sides(
@@ -116,27 +186,13 @@ def main_sides(
     """Evaluate both sides of the sharpened inequality and check its direction.
 
     ``carbery_rhs`` (the bound built from gamma) is populated only when both
-    norms are nonzero; otherwise gamma is reported as NaN.
+    norms are nonzero; otherwise gamma is reported as NaN.  This is
+    ``main_sides_batch`` on one row.
     """
     p = float(p)
-    _validate_pair(f, g, p)
-    fg_sum = SimpleFunction(f.values + g.values)
-    lhs = lp_functional(fg_sum, space, p)
-    F = lp_functional(f, space, p)
-    G = lp_functional(g, space, p)
-    S = F + G
-    if S == 0.0:
-        raise ZeroNorm("f and g cannot both vanish identically")
-    ov = overlap_norm(f, g, space, p)
-    gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
-    rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
-
-    if F > 0.0 and G > 0.0:
-        gamma = ov / (lp_norm(f, space, p) * lp_norm(g, space, p))
-        carbery_rhs = (1.0 + gamma) ** (p - 1.0) * S
-    else:
-        gamma = math.nan
-        carbery_rhs = None
+    sides = _one_row(f, g, space, p)
+    lhs, rhs, gamma = sides.lhs.item(0), sides.rhs.item(0), sides.gamma.item(0)
+    carbery_rhs = None if math.isnan(gamma) else sides.carbery_rhs.item(0)
 
     region = ExponentRegion.from_p(p)
     tol = RELATIVE_SLACK * max(abs(lhs), abs(rhs))
@@ -154,7 +210,7 @@ def main_sides(
         rhs=rhs,
         carbery_rhs=carbery_rhs,
         gamma=gamma,
-        gamma_tilde=gamma_tilde,
+        gamma_tilde=sides.gamma_tilde.item(0),
         region=region,
         satisfied=bool(satisfied),
         slack=slack,

@@ -7,7 +7,9 @@ when the ratio alpha = f/(f+g) is constant,
     R = 2 alpha^(p/2) (1-alpha)^(p/2) / (alpha^p + (1-alpha)^p),
 
 which is >= 1 on the forward exponent ranges and <= 1 on the reverse ranges,
-with the natural exponent q = 2/p.  ``sharpness_probe`` demonstrates that no
+with the natural exponent q = 2/p.  ``constant_factors`` evaluates it over
+whole arrays (the contour grid) and ``constant_factor`` is that kernel on one
+element.  ``sharpness_probe`` demonstrates that no
 power other than 2/p works, by measuring the first-order slope of the
 substituted gap function near its flat point and searching for sign witnesses.
 """
@@ -74,34 +76,58 @@ def power_mean(x: float, y: float, q: float) -> float:
     return math.exp(mid + logcosh(q * d) / q)
 
 
+_LOG2 = math.log(2.0)
+
+
+def constant_factors(alpha, p, q_exponent) -> np.ndarray:
+    """``constant_factor`` elementwise over broadcast arrays of its arguments.
+
+    The double path is one log-domain array evaluation; under
+    ``SHARPLP_PRECISION=high`` each element is evaluated at 50 digits and the
+    result is an object array of mpf.  The checks of the scalar function
+    apply to every element.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q_exponent, dtype=float)
+    if (p == 0.0).any():
+        raise ZeroExponent("p = 0 is not admissible")
+    outside = ~((alpha >= 0.0) & (alpha <= 1.0))
+    if outside.any():
+        raise OutOfDomain(f"alpha must lie in [0, 1], got {alpha[outside][0]}")
+    endpoint = (alpha == 0.0) | (alpha == 1.0)
+    if (endpoint & (p < 0.0)).any():
+        raise EndpointWithNegativeP("alpha in {0,1} is not admissible for p < 0")
+    if high_precision():
+        alpha, p, q, endpoint = np.broadcast_arrays(alpha, p, q, endpoint)
+        out = np.full(alpha.shape, 1.0, dtype=object)
+        with mp_workdps() as mp:
+            for i in np.ndindex(alpha.shape):
+                if endpoint[i]:
+                    continue
+                am, pm, qm = mp.mpf(alpha[i]), mp.mpf(p[i]), mp.mpf(q[i])
+                b = am ** pm + (1 - am) ** pm
+                R = 2 * am ** (pm / 2) * (1 - am) ** (pm / 2) / b
+                out[i] = (1 + R ** qm) ** (pm - 1) * b
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the endpoints
+        la, l1a = np.log(alpha), np.log1p(-alpha)
+        log_b = np.logaddexp(p * la, p * l1a)
+        log_R = _LOG2 + 0.5 * p * (la + l1a) - log_b  # R <= 1 always
+        log_factor = (p - 1.0) * np.log1p(np.exp(q * log_R))
+        values = np.exp(log_factor + log_b)
+    return np.where(endpoint, 1.0, values)
+
+
 def constant_factor(alpha: float, p: float, q_exponent: float) -> float:
     """(1 + R^q)^(p-1) * (alpha^p + (1-alpha)^p) for alpha in [0, 1].
 
     ``q_exponent = 2/p`` gives the factor of the sharpened inequality at
     constant ratio.  Endpoints alpha in {0, 1} return the continuity limit 1
-    for p > 0 and are rejected for p < 0.
+    for p > 0 and are rejected for p < 0.  This is ``constant_factors`` on
+    one element.
     """
-    p = float(p)
-    alpha = float(alpha)
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
-    if not 0.0 <= alpha <= 1.0:
-        raise OutOfDomain(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha in (0.0, 1.0):
-        if p < 0.0:
-            raise EndpointWithNegativeP("alpha in {0,1} is not admissible for p < 0")
-        return 1.0
-    if high_precision():
-        with mp_workdps() as mp:
-            am, pm, qm = mp.mpf(alpha), mp.mpf(p), mp.mpf(q_exponent)
-            b = am ** pm + (1 - am) ** pm
-            R = 2 * am ** (pm / 2) * (1 - am) ** (pm / 2) / b
-            return (1 + R ** qm) ** (pm - 1) * b
-    la, l1a = math.log(alpha), math.log1p(-alpha)
-    log_b = logaddexp(p * la, p * l1a)
-    log_R = math.log(2.0) + 0.5 * p * (la + l1a) - log_b  # R <= 1 always
-    log_factor = (p - 1.0) * math.log1p(math.exp(q_exponent * log_R))
-    return math.exp(log_factor + log_b)
+    return constant_factors(float(alpha), float(p), float(q_exponent)).item()
 
 
 def agm_chain(x: float, y: float, p: float) -> AGMChain:

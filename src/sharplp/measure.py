@@ -5,11 +5,15 @@ simple function is a list of real values aligned to it.  The power functional
 ``sum_i w_i |f_i|^p`` and its 1/p-th root are defined for every real p != 0.
 For p < 0 the root is a decreasing transform of the functional, not a norm;
 the contract is the formula.
+
+The ``*_rows`` kernels evaluate these over a stack of instances at once:
+(instances, points) arrays of values and weights, zero-padded, with a mask
+marking the points of each row.  The scalar functions wrap them with one row,
+so each formula is written once.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +26,7 @@ from .errors import (
     ZeroExponent,
     ZeroSumPoint,
 )
-from .precision import high_precision, mp_workdps
+from .precision import high_precision, mp_workdps, require_finite
 
 # |p| above this threshold switches to per-term log-domain evaluation, which
 # stays finite for |p| up to several hundred on double precision.
@@ -124,85 +128,153 @@ def _check_exponent(p: float) -> float:
 
 
 def _check_positive_for_negative_p(values: np.ndarray, p: float) -> None:
-    if p < 0.0 and np.any(values <= 0.0):
+    if p < 0.0 and (values <= 0.0).any():
         raise NonpositiveValueForNegativeP(
             "p < 0 requires strictly positive function values"
         )
 
 
-def _log_terms(values: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """log(w_i) + p*log|f_i| with -inf at zeros (only reachable for p > 0)."""
-    with np.errstate(divide="ignore"):
-        return np.log(weights) + p * np.log(np.abs(values))
+def check_stack(
+    values: np.ndarray, weights: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a stack of instances and return (values, weights, mask).
+
+    Row i is one instance: its points are the entries where ``mask[i]`` is
+    True (all entries when ``mask`` is None); the rest is padding, whose
+    values never reach a result.  Every row needs at least one point, finite
+    values, and strictly positive finite weights, as MeasureSpace and
+    SimpleFunction require.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 2:
+        raise ValueError("expected an (instances, points) stack of values")
+    mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if weights.shape != values.shape or mask.shape != values.shape:
+        raise MisalignedFunction(
+            f"values {values.shape}, weights {weights.shape} and mask "
+            f"{mask.shape} must have one shape"
+        )
+    if not mask.any(axis=1).all():
+        raise ValueError("a measure space needs at least one point")
+    w = weights[mask]
+    if not (np.isfinite(w) & (w > 0.0)).all():
+        raise ValueError("all point masses must be strictly positive and finite")
+    if not np.isfinite(values[mask]).all():
+        raise ValueError("function values must be finite")
+    return values, weights, mask
 
 
-def _logsumexp(logs: np.ndarray) -> float:
-    m = float(logs.max())
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(np.exp(logs - m).sum())
+def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(logs))), -inf for rows that are all -inf."""
+    m = logs.max(axis=1)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
 
 
-def _lp_log_functional(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """log of the power functional, or -inf when it vanishes."""
-    return _logsumexp(_log_terms(values, weights, p))
+def _log_functional_rows(values, weights, mask, p: float) -> np.ndarray:
+    """Row-wise log of the power functional from per-term logs
+    log(w_i) + p*log|f_i|; -inf where it vanishes (only reachable for p > 0).
+    Zeros and padding raise divide warnings unless the caller silences them."""
+    logs = np.where(mask, np.log(weights) + p * np.log(np.abs(values)), -np.inf)
+    return _logsumexp_rows(logs)
 
 
-def _lp_functional_float(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if abs(p) > LOG_DOMAIN_THRESHOLD:
-        ls = _lp_log_functional(values, weights, p)
-        return 0.0 if ls == -math.inf else math.exp(ls)
-    return float(np.sum(weights * np.abs(values) ** p))
-
-
-def _lp_functional_mp(values: np.ndarray, weights: np.ndarray, p: float):
+def _power_rows_mp(values, weights, mask, p: float, root: bool) -> np.ndarray:
+    out = np.empty(values.shape[0], dtype=object)
     with mp_workdps() as mp:
         pm = mp.mpf(p)
-        return mp.fsum(
-            mp.mpf(w) * mp.mpf(abs(v)) ** pm for v, w in zip(values, weights)
-        )
+        for i, row in enumerate(mask):
+            total = mp.fsum(
+                mp.mpf(w) * mp.mpf(abs(v)) ** pm
+                for v, w in zip(values[i, row], weights[i, row])
+            )
+            out[i] = total ** (1 / pm) if root else total
+    return out
+
+
+def _checked_rows(values, weights, mask, p: float):
+    p = _check_exponent(p)
+    values, weights, mask = check_stack(values, weights, mask)
+    _check_positive_for_negative_p(values[mask], p)
+    return values, weights, mask, p
+
+
+def power_rows(values, weights, mask, p: float, root: bool = False) -> np.ndarray:
+    """Row-wise power functional, or its 1/p-th root, of a stack that
+    ``check_stack`` accepted, for p != 0 and (p < 0) positive values.
+
+    The double path is one array evaluation, per-term log-domain above
+    |p| = 8; under ``SHARPLP_PRECISION=high`` each row is summed at 50 digits
+    and the result is an object array of mpf.  Raises NumericRange when a
+    double result is not finite.
+    """
+    if high_precision():
+        return _power_rows_mp(values, weights, mask, p, root)
+    # padding is masked out after the fact: 0^p there is infinite for p < 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if abs(p) > LOG_DOMAIN_THRESHOLD:
+            ls = _log_functional_rows(values, weights, mask, p)
+            out = np.exp(ls / p if root else ls)
+        else:
+            total = np.where(mask, weights * np.abs(values) ** p, 0.0).sum(axis=1)
+            out = total ** (1.0 / p) if root else total
+    require_finite(p, functional=out)
+    return out
+
+
+def lp_functional_rows(
+    values: np.ndarray, weights: np.ndarray, p: float, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise sum_j w_ij |v_ij|^p over a stack of instances, with every
+    check of lp_functional (see check_stack and power_rows)."""
+    return power_rows(*_checked_rows(values, weights, mask, p))
+
+
+def lp_norm_rows(
+    values: np.ndarray, weights: np.ndarray, p: float, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise 1/p-th root of lp_functional_rows."""
+    return power_rows(*_checked_rows(values, weights, mask, p), root=True)
+
+
+def overlap_norm_rows(
+    f: np.ndarray, g: np.ndarray, weights: np.ndarray, p: float,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row-wise power-(p/2) root norm of the pointwise product fg.
+
+    This is the coupling quantity measuring how far f and g are from having
+    disjoint supports: it is 0 exactly when fg vanishes identically (p > 0).
+    """
+    p = _check_exponent(p)
+    return lp_norm_rows(np.asarray(f, dtype=float) * g, weights, p / 2.0, mask)
 
 
 def lp_functional(f: SimpleFunction, space: MeasureSpace, p: float) -> float:
     """sum_i w_i |f_i|^p for real p != 0."""
     p = _check_exponent(p)
     _check_aligned(f, space)
-    _check_positive_for_negative_p(f.values, p)
-    if high_precision():
-        return _lp_functional_mp(f.values, space.weights, p)
-    return _lp_functional_float(f.values, space.weights, p)
+    return lp_functional_rows(f.values[None], space.weights[None], p).item(0)
 
 
 def lp_norm(f: SimpleFunction, space: MeasureSpace, p: float) -> float:
     """The 1/p-th root of lp_functional; a norm only for p >= 1."""
     p = _check_exponent(p)
     _check_aligned(f, space)
-    _check_positive_for_negative_p(f.values, p)
-    if high_precision():
-        with mp_workdps() as mp:
-            return _lp_functional_mp(f.values, space.weights, p) ** (1 / mp.mpf(p))
-    if abs(p) > LOG_DOMAIN_THRESHOLD:
-        ls = _lp_log_functional(f.values, space.weights, p)
-        return 0.0 if ls == -math.inf else math.exp(ls / p)
-    total = _lp_functional_float(f.values, space.weights, p)
-    return total ** (1.0 / p)
+    return lp_norm_rows(f.values[None], space.weights[None], p).item(0)
 
 
 def overlap_norm(
     f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float
 ) -> float:
-    """Power-(p/2) root norm of the pointwise product fg.
-
-    This is the coupling quantity measuring how far f and g are from having
-    disjoint supports: it is 0 exactly when fg vanishes identically (p > 0).
-    """
+    """Power-(p/2) root norm of the pointwise product fg (see overlap_norm_rows)."""
     p = _check_exponent(p)
     _check_aligned(f, space)
     _check_aligned(g, space)
-    prod = f.values * g.values
-    if p > 0.0 and not np.any(prod != 0.0):
-        return 0.0
-    return lp_norm(SimpleFunction(prod), space, p / 2.0)
+    return overlap_norm_rows(
+        f.values[None], g.values[None], space.weights[None], p
+    ).item(0)
 
 
 def reduce_to_probability(
@@ -225,7 +297,7 @@ def reduce_to_probability(
         raise ZeroSumPoint("f + g must be strictly positive at every point")
     alpha = SimpleFunction(f.values / s)
     logs = np.log(space.weights) + p * np.log(s)
-    logs -= _logsumexp(logs)
+    logs -= _logsumexp_rows(logs[None])[0]
     w = np.exp(logs)
     w /= w.sum()
     return alpha, MeasureSpace(w)

@@ -13,6 +13,9 @@ import os
 from contextlib import contextmanager
 
 import mpmath as mp
+import numpy as np
+
+from .errors import NumericRange
 
 PRECISION_ENV = "SHARPLP_PRECISION"
 HIGH_DPS = 50
@@ -39,6 +42,23 @@ def mp_workdps():
     """mpmath context at the toolkit's high-precision digit count."""
     with mp.workdps(HIGH_DPS):
         yield mp
+
+
+def require_finite(p: float, **sides: np.ndarray) -> None:
+    """Raise NumericRange unless every entry of every named array is finite.
+
+    Object arrays hold 50-digit mpf, which do not overflow.
+    """
+    for name, side in sides.items():
+        if side.dtype == object:
+            finite = all(mp.isfinite(v) for v in side.flat)
+        else:
+            finite = bool(np.isfinite(side).all())
+        if not finite:
+            raise NumericRange(
+                f"{name} at exponent {p!r} is not finite in double precision; "
+                "the exponent is beyond the range the double path evaluates"
+            )
 
 
 def logcosh(x: float) -> float:

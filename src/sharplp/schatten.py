@@ -10,6 +10,10 @@ It holds as an identity at p = 2 and, by a doubling argument through the
 trace-rearrangement inequality tr[(B A^2 B)^(p/2)] <= tr[B^(p/2) A^p B^(p/2)],
 for every p = 2^k.  Other exponents are unproven; they can only be evaluated
 behind an explicit exploratory flag.
+
+The ``*_stack`` functions evaluate stacks of pairs, shape (n, d, d), with
+stacked eigendecompositions; ``PSDMatrix`` is a ``PSDStack`` of one, and the
+scalar functions wrap the stack kernels.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
+from .precision import require_finite
 
 MAX_DIM = 64
 _HERMITIAN_TOL = 1e-12
@@ -27,51 +32,94 @@ _EIGEN_CLAMP_TOL = 1e-10
 _SLACK = 1e-9
 
 
-class PSDMatrix:
-    """Hermitian positive-semidefinite matrix with a cached eigendecomposition.
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M.conj(), -1, -2)
 
-    Hermiticity is enforced to 1e-12 relative; eigenvalues above
-    -1e-10 * ||A|| are clamped to zero, anything lower is rejected.
+
+class PSDStack:
+    """Stack of Hermitian positive-semidefinite matrices, shape (n, d, d),
+    with cached eigendecompositions.
+
+    Hermiticity is enforced to 1e-12 relative to the spectral norm (max
+    |eigenvalue| of the Hermitian part); eigenvalues above -1e-10 * ||A|| are
+    clamped to zero, anything lower is rejected.  Each check applies to every
+    member, and a failing member is named by its index.
     """
 
-    __slots__ = ("entries", "_eigvals", "_eigvecs")
+    __slots__ = ("entries", "eigvals", "eigvecs")
+
+    def __init__(self, entries: np.ndarray):
+        arr = np.array(entries, dtype=complex)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError("entries must form a stack of square matrices")
+        if arr.shape[1] < 1:
+            raise DimOutOfRange("dimension must be at least 1")
+        herm = (arr + _adjoint(arr)) / 2.0
+        lam, vec = np.linalg.eigh(herm)
+        scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
+        herm_gap = np.linalg.norm(arr - _adjoint(arr), axis=(-2, -1))
+        bad = np.flatnonzero(herm_gap > _HERMITIAN_TOL * scale)
+        if bad.size:
+            k = bad[0]
+            raise NotPSD(f"matrix {k} is not Hermitian (gap {herm_gap[k]:.3e})")
+        lam_min = lam.min(axis=-1)
+        bad = np.flatnonzero(lam_min < -_EIGEN_CLAMP_TOL * scale)
+        if bad.size:
+            k = bad[0]
+            raise NotPSD(
+                f"matrix {k}: minimum eigenvalue {lam_min[k]:.3e} below tolerance"
+            )
+        lam = np.clip(lam, 0.0, None)
+        for a in (herm, lam, vec):
+            a.setflags(write=False)
+        self.entries = herm
+        self.eigvals = lam
+        self.eigvecs = vec
+
+    @property
+    def dim(self) -> int:
+        return int(self.entries.shape[1])
+
+    def power(self, q: float) -> np.ndarray:
+        """Spectral fractional powers A^q of every member, (n, d, d) (0^q := 0)."""
+        lam = self.eigvals
+        with np.errstate(divide="ignore"):
+            powered = np.where(lam > 0.0, lam ** q, 0.0)
+        return (self.eigvecs * powered[..., None, :]) @ _adjoint(self.eigvecs)
+
+
+class PSDMatrix:
+    """Hermitian positive-semidefinite matrix with a cached eigendecomposition:
+    a PSDStack of one, with the same checks."""
+
+    __slots__ = ("stack",)
 
     def __init__(self, entries: Sequence[Sequence[complex]] | np.ndarray):
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must form a square matrix")
-        if arr.shape[0] < 1:
-            raise DimOutOfRange("dimension must be at least 1")
-        scale = float(np.linalg.norm(arr, 2)) if arr.shape[0] > 1 else float(abs(arr[0, 0]))
-        herm_gap = float(np.linalg.norm(arr - arr.conj().T))
-        if herm_gap > _HERMITIAN_TOL * max(scale, 1e-300):
-            raise NotPSD(f"matrix is not Hermitian (gap {herm_gap:.3e})")
-        arr = (arr + arr.conj().T) / 2.0
-        lam, vec = np.linalg.eigh(arr)
-        lam_min = float(lam.min())
-        if lam_min < -_EIGEN_CLAMP_TOL * max(scale, 1e-300):
-            raise NotPSD(f"minimum eigenvalue {lam_min:.3e} below tolerance")
-        lam = np.clip(lam, 0.0, None)
-        arr.setflags(write=False)
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        self.entries = arr
-        self._eigvals = lam
-        self._eigvecs = vec
+        self.stack = PSDStack(arr[None])
+
+    @classmethod
+    def _of(cls, stack: PSDStack) -> "PSDMatrix":
+        one = cls.__new__(cls)
+        one.stack = stack
+        return one
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.stack.entries[0]
 
     @property
     def dim(self) -> int:
-        return int(self.entries.shape[0])
+        return self.stack.dim
 
     def eigenvalues(self) -> np.ndarray:
-        return self._eigvals
+        return self.stack.eigvals[0]
 
     def power(self, q: float) -> np.ndarray:
         """Spectral fractional power A^q as a dense array (0^q := 0)."""
-        lam = self._eigvals
-        with np.errstate(divide="ignore"):
-            powered = np.where(lam > 0.0, lam ** q, 0.0)
-        return (self._eigvecs * powered) @ self._eigvecs.conj().T
+        return self.stack.power(q)[0]
 
     def __repr__(self) -> str:
         return f"PSDMatrix(dim={self.dim})"
@@ -113,15 +161,33 @@ class SchattenDoublingReport:
         return all(link.satisfied for link in self.links)
 
 
+@dataclass(frozen=True)
+class SchattenBatch:
+    """The trace bound for a stack of pairs, one entry per pair."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    mixed: np.ndarray
+    gamma_tilde: np.ndarray
+
+
+def random_psd_stack(dim: int, seeds: Sequence[int]) -> PSDStack:
+    """G G* for G with iid standard complex normal entries, one member per
+    seed; member k is ``random_psd(dim, seeds[k])``."""
+    if not 1 <= dim <= MAX_DIM:
+        raise DimOutOfRange(f"dim must lie in [1, {MAX_DIM}], got {dim}")
+    G = np.empty((len(seeds), dim, dim), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng([dim, seed])
+        G[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G /= math.sqrt(2.0)
+    return PSDStack(G @ _adjoint(G))
+
+
 def random_psd(dim: int, seed: int) -> PSDMatrix:
     """G G* for G with iid standard complex normal entries; deterministic per
     (dim, seed)."""
-    if not 1 <= dim <= MAX_DIM:
-        raise DimOutOfRange(f"dim must lie in [1, {MAX_DIM}], got {dim}")
-    rng = np.random.default_rng([dim, seed])
-    G = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    G /= math.sqrt(2.0)
-    return PSDMatrix(G @ G.conj().T)
+    return PSDMatrix._of(random_psd_stack(dim, [seed]))
 
 
 def schatten_norm(A: PSDMatrix, p: float) -> float:
@@ -138,29 +204,44 @@ def _hermitian_abs_norm(M: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 
 
-def _real_trace(M: np.ndarray) -> float:
-    tr = complex(np.trace(M))
-    scale = max(abs(tr), float(np.linalg.norm(M)))
-    if scale > 0.0 and abs(tr.imag) > 1e-10 * scale:
-        raise NotPSD(f"trace has a non-real residue {tr.imag:.3e}")
-    return float(tr.real)
+def _real_traces(M: np.ndarray) -> np.ndarray:
+    """Traces of a stack (n, d, d) whose traces must be real."""
+    tr = np.trace(M, axis1=-2, axis2=-1)
+    scale = np.maximum(np.abs(tr), np.linalg.norm(M, axis=(-2, -1)))
+    bad = np.flatnonzero((scale > 0.0) & (np.abs(tr.imag) > 1e-10 * scale))
+    if bad.size:
+        raise NotPSD(f"trace has a non-real residue {tr.imag[bad[0]]:.3e}")
+    return tr.real.copy()
+
+
+def _check_pair(A: PSDStack, B: PSDStack) -> None:
+    if A.entries.shape != B.entries.shape:
+        raise ValueError(
+            f"dimension mismatch: stacks of shape {A.entries.shape} and {B.entries.shape}"
+        )
+
+
+def mixed_trace_stack(A: PSDStack, B: PSDStack, p: float) -> np.ndarray:
+    """tr[B^(p/4) A^(p/2) B^(p/4)] for every pair of two stacks."""
+    if p <= 0.0:
+        raise ExponentOutOfRange("mixed trace needs p > 0")
+    _check_pair(A, B)
+    Bq = B.power(p / 4.0)
+    Ah = A.power(p / 2.0)
+    val = _real_traces(Bq @ Ah @ Bq)
+    negative = val < 0.0
+    if np.any(negative):
+        scale = np.sum(A.eigvals ** (p / 2), axis=-1) * np.sum(B.eigvals ** (p / 2), axis=-1)
+        bad = np.flatnonzero(val < -1e-12 * np.maximum(scale, 1e-300))
+        if bad.size:
+            raise NotPSD(f"mixed trace {val[bad[0]]:.3e} is negative beyond tolerance")
+        val[negative] = 0.0
+    return val
 
 
 def mixed_trace(A: PSDMatrix, B: PSDMatrix, p: float) -> float:
     """tr[B^(p/4) A^(p/2) B^(p/4)] via spectral fractional powers."""
-    if p <= 0.0:
-        raise ExponentOutOfRange("mixed trace needs p > 0")
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    Bq = B.power(p / 4.0)
-    Ah = A.power(p / 2.0)
-    val = _real_trace(Bq @ Ah @ Bq)
-    if val < 0.0:
-        scale = float(np.sum(A.eigenvalues() ** (p / 2)) * np.sum(B.eigenvalues() ** (p / 2)))
-        if val < -1e-12 * max(scale, 1e-300):
-            raise NotPSD(f"mixed trace {val:.3e} is negative beyond tolerance")
-        val = 0.0
-    return val
+    return float(mixed_trace_stack(A.stack, B.stack, p)[0])
 
 
 def _is_power_of_two_exponent(p: float) -> bool:
@@ -170,6 +251,33 @@ def _is_power_of_two_exponent(p: float) -> bool:
     return n & (n - 1) == 0
 
 
+def schatten_verify_stack(
+    A: PSDStack, B: PSDStack, p: float, allow_unproven: bool = False
+) -> SchattenBatch:
+    """Both sides of the trace bound for every pair of two stacks.
+
+    Exponents that are not powers of two are rejected unless
+    ``allow_unproven`` is set (see ``schatten_verify``); a side that is not
+    a finite double raises NumericRange.
+    """
+    p = float(p)
+    if not _is_power_of_two_exponent(p) and not (allow_unproven and p > 2.0):
+        raise UnsupportedExponent(
+            "the trace bound is established only for p = 2^k; "
+            "pass allow_unproven=True to explore other p > 2"
+        )
+    _check_pair(A, B)
+    lam_sum = np.linalg.eigvalsh(A.entries + B.entries)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lhs = np.sum(np.clip(lam_sum, 0.0, None) ** p, axis=-1)
+        S = np.sum(A.eigvals ** p, axis=-1) + np.sum(B.eigvals ** p, axis=-1)
+        mixed = mixed_trace_stack(A, B, p)
+        gamma_tilde = (mixed / (S / 2.0)) ** (2.0 / p)
+        rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+    require_finite(p, lhs=lhs, rhs=rhs)
+    return SchattenBatch(lhs=lhs, rhs=rhs, mixed=mixed, gamma_tilde=gamma_tilde)
+
+
 def schatten_verify(
     A: PSDMatrix, B: PSDMatrix, p: float, allow_unproven: bool = False
 ) -> SchattenReport:
@@ -177,34 +285,42 @@ def schatten_verify(
 
     Exponents that are not powers of two are rejected unless
     ``allow_unproven`` is set, in which case the report is labeled
-    conjectural: nothing is claimed about the outcome there.
+    conjectural: nothing is claimed about the outcome there.  This is
+    ``schatten_verify_stack`` on one pair.
     """
     p = float(p)
-    conjectural = not _is_power_of_two_exponent(p)
-    if conjectural and not (allow_unproven and p > 2.0):
-        raise UnsupportedExponent(
-            "the trace bound is established only for p = 2^k; "
-            "pass allow_unproven=True to explore other p > 2"
-        )
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    lam_sum = np.linalg.eigvalsh(np.asarray(A.entries + B.entries))
-    lhs = float(np.sum(np.clip(lam_sum, 0.0, None) ** p))
-    S = float(np.sum(A.eigenvalues() ** p) + np.sum(B.eigenvalues() ** p))
-    mixed = mixed_trace(A, B, p)
-    gamma_tilde = (mixed / (S / 2.0)) ** (2.0 / p)
-    rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+    rep = schatten_verify_stack(A.stack, B.stack, p, allow_unproven)
+    lhs, rhs = float(rep.lhs[0]), float(rep.rhs[0])
     tol = _SLACK * max(lhs, rhs)
     return SchattenReport(
         lhs=lhs,
         rhs=rhs,
-        mixed=mixed,
-        gamma_tilde=gamma_tilde,
+        mixed=float(rep.mixed[0]),
+        gamma_tilde=float(rep.gamma_tilde[0]),
         p=p,
         satisfied=bool(lhs <= rhs + tol),
         slack=float(rhs - lhs),
-        conjectural=conjectural,
+        conjectural=not _is_power_of_two_exponent(p),
     )
+
+
+def lieb_thirring_stack(
+    A: PSDStack, B: PSDStack, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the trace rearrangement for every pair of two stacks."""
+    if p < 1.0:
+        raise ExponentOutOfRange("the rearrangement check needs p >= 1")
+    _check_pair(A, B)
+    Am, Bm = A.entries, B.entries
+    inner = Bm @ Am @ Am @ Bm
+    lam = np.clip(np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0), 0.0, None)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lhs = np.sum(lam ** (p / 2.0), axis=-1)
+        Bh = B.power(p / 2.0)
+        Ap = A.power(p)
+        rhs = _real_traces(Bh @ Ap @ Bh)
+    require_finite(p, lhs=lhs, rhs=rhs)
+    return lhs, rhs
 
 
 def lieb_thirring_check(A: PSDMatrix, B: PSDMatrix, p: float) -> tuple[float, float]:
@@ -214,19 +330,8 @@ def lieb_thirring_check(A: PSDMatrix, B: PSDMatrix, p: float) -> tuple[float, fl
 
     Returns (lhs, rhs); equality holds for commuting pairs and at p = 2.
     """
-    if p < 1.0:
-        raise ExponentOutOfRange("the rearrangement check needs p >= 1")
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    Bm = np.asarray(B.entries)
-    Am = np.asarray(A.entries)
-    inner = Bm @ Am @ Am @ Bm
-    lam = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
-    lhs = float(np.sum(lam ** (p / 2.0)))
-    Bh = B.power(p / 2.0)
-    Ap = A.power(p)
-    rhs = _real_trace(Bh @ Ap @ Bh)
-    return lhs, rhs
+    lhs, rhs = lieb_thirring_stack(A.stack, B.stack, p)
+    return float(lhs[0]), float(rhs[0])
 
 
 def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingReport:

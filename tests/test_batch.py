@@ -1,0 +1,326 @@
+"""The batch kernels: agreement with the 50-digit path and with a loop over
+instances, and every check of the scalar path applied to each row or member."""
+import math
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sharplp import schatten
+from sharplp.campaigns import (
+    MAX_POINTS,
+    _equality_instances,
+    factor_grid,
+    random_instance,
+    schatten_campaign,
+    verify_campaign,
+)
+from sharplp.errors import (
+    DimOutOfRange,
+    EndpointWithNegativeP,
+    ExponentOutOfRange,
+    NegativeInput,
+    NonpositiveValueForNegativeP,
+    NotPSD,
+    NumericRange,
+    OutOfDomain,
+    UnsupportedExponent,
+    ZeroExponent,
+    ZeroNorm,
+)
+from sharplp.inequality import main_sides, main_sides_batch
+from sharplp.means import constant_factor, constant_factors
+from sharplp.measure import MeasureSpace, SimpleFunction, lp_functional_rows
+from sharplp.schatten import (
+    PSDStack,
+    lieb_thirring_check,
+    lieb_thirring_stack,
+    mixed_trace_stack,
+    random_psd,
+    random_psd_stack,
+    schatten_verify,
+    schatten_verify_stack,
+)
+
+HIGH = {"SHARPLP_PRECISION": "high"}
+
+
+def _rows(stack):
+    """The unpadded rows of an (f, g, w, mask) stack as scalar objects."""
+    f, g, w, mask = stack
+    for i, row in enumerate(mask):
+        yield SimpleFunction(f[i, row]), SimpleFunction(g[i, row]), MeasureSpace(w[i, row])
+
+
+def _assert_rows_match_high_precision(stack, p):
+    f, g, w, mask = stack
+    sides = main_sides_batch(f, g, w, p, mask)
+    with mock.patch.dict(os.environ, HIGH):
+        reports = [main_sides(*row, p) for row in _rows(stack)]
+    for i, rep in enumerate(reports):
+        assert float(sides.lhs[i]) == pytest.approx(float(rep.lhs), rel=1e-12)
+        assert float(sides.rhs[i]) == pytest.approx(float(rep.rhs), rel=1e-12)
+        assert float(sides.gamma_tilde[i]) == pytest.approx(float(rep.gamma_tilde), rel=1e-12)
+
+
+def _padded(rows, width):
+    """Stack rows of (f, g, w) lists, zero-padded to ``width`` points."""
+    shape = (len(rows), width)
+    f, g, w = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for i, (fi, gi, wi) in enumerate(rows):
+        n = len(fi)
+        f[i, :n], g[i, :n], w[i, :n], mask[i, :n] = fi, gi, wi, True
+    return f, g, w, mask
+
+
+FIXED_ROWS = [
+    ([0.7], [1.3], [0.4]),  # n = 1
+    ([0.2, 1.9, 0.5, 1.1], [1.4, 0.3, 0.8, 0.6], [1.0, 0.5, 2.0, 0.7]),
+    ([1.5, 0.05], [0.9, 1.2], [0.3, 1.6]),
+]
+
+
+@pytest.mark.parametrize("p", [-12.0, -3.0, -0.7, 0.3, 1.0, 1.5, 2.0, 3.0, 9.5, 14.0])
+def test_batch_rows_match_high_precision(p):
+    _assert_rows_match_high_precision(_padded(FIXED_ROWS, 6), p)
+
+
+_value = st.floats(0.05, 2.0)
+_exponent = st.one_of(
+    st.floats(-14.0, -8.5),   # log domain, p < 0
+    st.floats(-8.0, -0.05),
+    st.floats(0.05, 0.95),
+    st.floats(1.05, 1.95),    # reverse range 1 < p < 2
+    st.floats(2.05, 8.0),
+    st.floats(8.5, 14.0),     # log domain, p > 0
+)
+
+
+@st.composite
+def _stacks(draw):
+    width = draw(st.integers(1, 7))
+    counts = draw(st.lists(st.integers(1, width), min_size=1, max_size=5))
+    rows = [
+        tuple(draw(st.lists(_value, min_size=n, max_size=n)) for _ in range(3))
+        for n in counts + [1]  # always one n = 1 row
+    ]
+    return _padded(rows, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_stacks(), p=_exponent)
+def test_batch_rows_match_high_precision_property(stack, p):
+    _assert_rows_match_high_precision(stack, p)
+
+
+def test_padding_is_never_read():
+    f, g, w, mask = _padded(FIXED_ROWS, 5)
+    clean = main_sides_batch(f, g, w, -3.0, mask)
+    for arr in (f, g, w):
+        arr[~mask] = np.nan
+    dirty = main_sides_batch(f, g, w, -3.0, mask)
+    np.testing.assert_array_equal(dirty.lhs, clean.lhs)
+    np.testing.assert_array_equal(dirty.rhs, clean.rhs)
+
+
+def test_batch_checks_every_row():
+    f, g, w, mask = _padded(FIXED_ROWS, 4)
+    with pytest.raises(ZeroExponent):
+        main_sides_batch(f, g, w, 0.0, mask)
+    with pytest.raises(ZeroExponent):
+        lp_functional_rows(f, w, 0.0, mask)
+
+    def spoiled(arr, value, row=2, col=1):
+        out = arr.copy()
+        out[row, col] = value
+        return out
+
+    with pytest.raises(ValueError, match="finite"):
+        main_sides_batch(spoiled(f, np.inf), g, w, 3.0, mask)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="point masses"):
+            main_sides_batch(f, g, spoiled(w, bad), 3.0, mask)
+    with pytest.raises(NegativeInput):
+        main_sides_batch(f, spoiled(g, -0.5), w, 3.0, mask)
+    for p in (-2.0, 1.5):
+        with pytest.raises(NonpositiveValueForNegativeP):
+            main_sides_batch(spoiled(f, 0.0), g, w, p, mask)
+    zero = f.copy(), g.copy()
+    for arr in zero:
+        arr[2] = 0.0
+    with pytest.raises(ZeroNorm):
+        main_sides_batch(*zero, w, 3.0, mask)
+    empty = mask.copy()
+    empty[1] = False
+    with pytest.raises(ValueError, match="at least one point"):
+        main_sides_batch(f, g, w, 3.0, empty)
+
+
+@pytest.mark.parametrize("p", [700.0, 1100.0, -700.0, 1e-8])
+def test_non_finite_sides_raise(p):
+    # no side may come back as inf or NaN: NaN > slack is False and would pass
+    f, g, w, mask = _padded(FIXED_ROWS + [([1.9, 0.2], [1.8, 0.3], [0.2, 0.3])], 4)
+    with pytest.raises(NumericRange):
+        main_sides_batch(f, g, w, p, mask)
+    with pytest.raises(NumericRange):
+        main_sides(*list(_rows((f, g, w, mask)))[-1], p)
+
+
+def test_factor_grid_matches_high_precision():
+    for window in ((0.0, 1.0, 0.25, 4.0, 9, 8), (0.05, 0.95, -3.0, -0.4, 7, 5)):
+        alphas, ps, values = factor_grid(*window)
+        with mock.patch.dict(os.environ, HIGH):
+            want = [[float(constant_factor(a, p, 2.0 / p)) for a in alphas] for p in ps]
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+    _, _, values = factor_grid(0.0, 1.0, 0.25, 4.0, 9, 8)
+    assert np.all(values[:, 0] == 1.0) and np.all(values[:, -1] == 1.0)
+
+
+def test_factor_grid_raises_where_the_scalar_path_does():
+    with pytest.raises(EndpointWithNegativeP):
+        constant_factor(1.0, -2.0, -1.0)
+    with pytest.raises(EndpointWithNegativeP):
+        factor_grid(0.5, 1.0, -2.0, -1.0, 3, 3)
+    with pytest.raises(OutOfDomain):
+        constant_factor(-0.1, 2.0, 1.0)
+    with pytest.raises(OutOfDomain):
+        factor_grid(-0.1, 0.5, 2.0, 3.0, 3, 3)
+    with pytest.raises(OutOfDomain):
+        constant_factors(np.array([0.2, np.nan]), 2.0, 1.0)
+    with pytest.raises(ZeroExponent):
+        factor_grid(0.1, 0.5, -1.0, 1.0, 3, 3)  # the middle row is p = 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 9])
+def test_stacked_psd_builder_matches_random_psd(dim):
+    seeds = [0, 1, 17, 2 * 1_000_003 + dim * 1_009 + 5]
+    stack = random_psd_stack(dim, seeds)
+    for k, seed in enumerate(seeds):
+        one = random_psd(dim, seed)
+        np.testing.assert_array_equal(stack.entries[k], one.entries)
+        np.testing.assert_array_equal(stack.eigvals[k], one.eigenvalues())
+        # the construction every (dim, seed) has always meant
+        rng = np.random.default_rng([dim, seed])
+        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        G /= math.sqrt(2.0)
+        M = G @ G.conj().T
+        np.testing.assert_array_equal(one.entries, (M + M.conj().T) / 2.0)
+
+
+def _stack_with(member, k=3):
+    entries = np.array(random_psd_stack(2, range(6)).entries)
+    entries[k] = member
+    return entries
+
+
+def test_stack_rejects_one_bad_member():
+    with pytest.raises(NotPSD, match="matrix 3 is not Hermitian"):
+        PSDStack(_stack_with([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotPSD, match="matrix 3: minimum eigenvalue"):
+        PSDStack(_stack_with([[1.0, 0.0], [0.0, -1.0]]))
+    # within the clamp tolerance the eigenvalue is set to zero
+    stack = PSDStack(_stack_with([[1.0, 0.0], [0.0, -1e-13]]))
+    assert stack.eigvals[3].min() == 0.0
+    with pytest.raises(DimOutOfRange):
+        PSDStack(np.zeros((2, 0, 0)))
+    for dim in (0, 65):
+        with pytest.raises(DimOutOfRange):
+            random_psd_stack(dim, [1])
+
+
+def test_stack_trace_checks(monkeypatch):
+    with pytest.raises(NotPSD, match="non-real"):
+        schatten._real_traces(np.array([np.eye(2), np.diag([1.0 + 1.0j, 1.0])]))
+    A = random_psd_stack(3, [1, 2])
+    B = random_psd_stack(3, [3, 4])
+    with pytest.raises(ExponentOutOfRange):
+        mixed_trace_stack(A, B, 0.0)
+    monkeypatch.setattr(schatten, "_real_traces", lambda M: np.array([1.0, -1e-300]))
+    np.testing.assert_array_equal(mixed_trace_stack(A, B, 4.0), [1.0, 0.0])
+    monkeypatch.setattr(schatten, "_real_traces", lambda M: np.array([1.0, -5.0]))
+    with pytest.raises(NotPSD, match="negative beyond tolerance"):
+        mixed_trace_stack(A, B, 4.0)
+
+
+def test_stack_exponent_and_shape_checks():
+    A = random_psd_stack(3, [1, 2])
+    B = random_psd_stack(3, [3, 4])
+    for p in (3.0, 6.0, 1.0):
+        with pytest.raises(UnsupportedExponent):
+            schatten_verify_stack(A, B, p)
+    assert schatten_verify_stack(A, B, 3.0, allow_unproven=True).lhs.shape == (2,)
+    with pytest.raises(ExponentOutOfRange):
+        lieb_thirring_stack(A, B, 0.5)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        schatten_verify_stack(A, random_psd_stack(3, [5]), 4.0)
+    with pytest.raises(NumericRange):
+        schatten_verify_stack(A, B, 1024.0)
+
+
+def _verify_loop(seed, trials, forward_ps, reverse_ps, slack=1e-9, dominance_slack=1e-12):
+    """The campaign one instance at a time, as it was written before batching."""
+    rng = np.random.default_rng(seed)
+    failures = {"forward": 0, "reverse": 0, "dominance": 0, "equality": 0}
+    max_violation = 0.0
+    for region, ps in (("forward", forward_ps), ("reverse", reverse_ps)):
+        for p in ps:
+            for _ in range(trials):
+                rep = main_sides(*random_instance(rng), p)
+                diff = rep.lhs - rep.rhs if region == "forward" else rep.rhs - rep.lhs
+                v = diff / max(abs(rep.lhs), abs(rep.rhs), 1e-300)
+                max_violation = max(max_violation, v)
+                failures[region] += int(v > slack)
+                if region == "forward" and p >= 2.0 and rep.carbery_rhs is not None:
+                    failures["dominance"] += int(
+                        rep.rhs > rep.carbery_rhs * (1.0 + dominance_slack)
+                    )
+    for p in forward_ps:
+        f, g, w = _equality_instances(rng, MAX_POINTS)
+        for i in range(2):
+            rep = main_sides(SimpleFunction(f[i]), SimpleFunction(g[i]), MeasureSpace(w[i]), p)
+            gap = abs(rep.lhs - rep.rhs) / max(rep.lhs, rep.rhs)
+            max_violation = max(max_violation, gap)
+            failures["equality"] += int(gap > slack)
+    return failures, max_violation
+
+
+@pytest.mark.parametrize("seed", [5, 9001])
+def test_verify_campaign_matches_instance_loop(seed):
+    fwd, rev = (0.3, 3.0, 9.0), (-3.0, 1.2)
+    summary = verify_campaign(seed=seed, trials=150, forward_ps=fwd, reverse_ps=rev)
+    failures, max_violation = _verify_loop(seed, 150, fwd, rev)
+    assert summary["per_region_failures"] == failures
+    # rows padded to 12 points are summed in another order than unpadded ones
+    assert summary["max_violation"] == pytest.approx(max_violation, rel=0.0, abs=1e-14)
+
+
+def test_schatten_campaign_matches_pair_loop():
+    trials, ps, dims = 12, (2.0, 4.0, 16.0), (1, 3, 6)
+    summary = schatten_campaign(seed=4, trials=trials, ps=ps, dims=dims)
+    max_violation = 0.0
+    for p in ps:
+        for dim in dims:
+            base = 4 * 1_000_003 + dim * 1_009
+            for t in range(trials):
+                A, B = random_psd(dim, base + 2 * t), random_psd(dim, base + 2 * t + 1)
+                rep = schatten_verify(A, B, p)
+                lt_lhs, lt_rhs = lieb_thirring_check(A, B, p)
+                max_violation = max(
+                    max_violation,
+                    (rep.lhs - rep.rhs) / max(rep.lhs, rep.rhs),
+                    (lt_lhs - lt_rhs) / max(lt_lhs, lt_rhs, 1e-300),
+                )
+    assert summary["max_violation"] == max_violation
+    assert summary["failures"] == {"bound": 0, "rearrangement": 0, "identity_p2": 0}
+    assert summary["instances_checked"] == trials * len(ps) * len(dims)
+
+
+def test_campaigns_with_no_trials():
+    summary = verify_campaign(seed=2, trials=0)
+    assert summary["instances_checked"] == 12 and summary["passed"]
+    summary = schatten_campaign(seed=2, trials=0)
+    assert summary["instances_checked"] == 0 and summary["max_violation"] == 0.0

@@ -173,3 +173,31 @@ def test_json_commands_reject_csv_format(tmp_path, capsys):
     config = parse_config(["verify", "--trials", "1", "--format", "csv"])
     assert run(config) == 2
     assert "JSON only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--p-list", "700"], ["--p-list", "1100"], ["--p-list", "1e-8", "--trials", "3"]],
+)
+def test_verify_exponent_beyond_double_range(argv, capsys):
+    # a side overflows double precision: a usage-level error, not a verdict
+    assert run(parse_config(["verify"] + argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "not finite in double precision" in err[0]
+
+
+def test_contour_stdout_matches_out_file(tmp_path, capsys):
+    argv = ["contour", "--alpha-min", "0.0", "--p-min", "0.5", "--na", "7", "--np", "5"]
+    assert run(parse_config(argv)) == 0
+    streamed = capsys.readouterr().out
+    code, out = _run(argv, tmp_path, "grid.csv")
+    assert code == 0
+    assert out.read_bytes() == streamed.encode("utf-8")
+    lines = streamed.splitlines()
+    assert lines[0] == "alpha,p,value" and len(lines) == 1 + 7 * 5
+    for line in lines[1:]:
+        for tok in line.split(","):
+            assert f"{float(tok):.17g}" == tok
