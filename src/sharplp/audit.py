@@ -13,6 +13,10 @@ statements on (0, 1).  ``sign_changes`` locates crossings on a grid with
 bisection refinement, escalating to high precision where double precision
 cannot certify a sign, and ``audit_chain`` compares the observed patterns
 against the claimed ones.
+
+Each formula is written once against a backend ``xp`` of ``precision``.
+``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
+at 50 digits on mpf, which is how ``sign_changes`` escalates a sample.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .errors import (
     TooCoarse,
     ZeroExponent,
 )
-from .precision import high_precision, logaddexp, logcosh, mp_workdps
+from .precision import FLOAT, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
 # Samples this close to either end of (0, 1) get their sign confirmed at high
@@ -53,40 +57,43 @@ _BRACKET_WIDTH = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def b_of_a(a: float, p: float) -> float:
-    """b(a) = a^p + (1-a)^p on [0, 1] (endpoints give 1 for p > 0)."""
-    a, p = float(a), float(p)
+def _check_a(a: float, p: float) -> bool:
+    """Validate (a, p) for b and h; True at the endpoints a in {0, 1}."""
     if p == 0.0:
         raise ZeroExponent("p = 0 is not admissible")
     if not 0.0 <= a <= 1.0:
         raise OutOfDomain(f"a must lie in [0, 1], got {a}")
-    if a in (0.0, 1.0):
-        if p < 0.0:
-            raise EndpointWithNegativeP("a in {0,1} is not admissible for p < 0")
+    if a in (0.0, 1.0) and p < 0.0:
+        raise EndpointWithNegativeP("a in {0,1} is not admissible for p < 0")
+    return a in (0.0, 1.0)
+
+
+def _b(xp, a, p):
+    a, pv = xp.asarray(a), xp.asarray(p)
+    b = xp.exp(xp.logaddexp(pv * xp.log(a), pv * xp.log1p(-a)))
+    require_finite(p, b=b)
+    return b
+
+
+def b_of_a(a: float, p: float) -> float:
+    """b(a) = a^p + (1-a)^p on [0, 1] (endpoints give 1 for p > 0)."""
+    a, p = float(a), float(p)
+    if _check_a(a, p):
         return 1.0
-    if high_precision():
-        with mp_workdps() as mp:
-            am, pm = mp.mpf(a), mp.mpf(p)
-            return am ** pm + (1 - am) ** pm
-    return math.exp(logaddexp(p * math.log(a), p * math.log1p(-a)))
+    with backend() as xp:
+        return _b(xp, a, p)
 
 
 def h_of_a(a: float, p: float) -> float:
     """h(a) = (a(1-a))^(p/2) on [0, 1] (endpoints give 0 for p > 0)."""
     a, p = float(a), float(p)
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
-    if not 0.0 <= a <= 1.0:
-        raise OutOfDomain(f"a must lie in [0, 1], got {a}")
-    if a in (0.0, 1.0):
-        if p < 0.0:
-            raise EndpointWithNegativeP("a in {0,1} is not admissible for p < 0")
+    if _check_a(a, p):
         return 0.0
-    if high_precision():
-        with mp_workdps() as mp:
-            am, pm = mp.mpf(a), mp.mpf(p)
-            return (am * (1 - am)) ** (pm / 2)
-    return math.exp(0.5 * p * (math.log(a) + math.log1p(-a)))
+    with backend() as xp:
+        a, pv = xp.asarray(a), xp.asarray(p)
+        h = xp.exp(0.5 * pv * (xp.log(a) + xp.log1p(-a)))
+    require_finite(p, h=h)
+    return h
 
 
 def invert_b(b_target: float, p: float) -> float:
@@ -104,55 +111,54 @@ def invert_b(b_target: float, p: float) -> float:
         raise ZeroExponent("p = 0 is not admissible")
     if p == 1.0:
         raise ExponentOutOfRange("b is identically 1 at p = 1; nothing to invert")
-    tol = 1e-14 * max(1.0, abs(b_target))
-    b_half = b_of_a(0.5, p)  # 2^(1-p), the symmetric extremum
-    if b_target == b_half:
-        return 0.5
+    with backend() as xp:
+        tol = 1e-14 * max(1.0, abs(b_target))
+        b_half = _b(xp, 0.5, p)  # 2^(1-p), the symmetric extremum
+        if b_target == b_half:
+            return 0.5
 
-    if p > 0.0:
-        lo_val, hi_val = (b_half, 1.0) if p > 1.0 else (1.0, b_half)
-        lo_b, hi_b = min(lo_val, hi_val), max(lo_val, hi_val)
-        slack = 1e-9 * max(1.0, hi_b)
-        if not lo_b - slack <= b_target <= hi_b + slack:
-            raise TargetOutOfRange(
-                f"b_target={b_target} outside attainable range [{lo_b}, {hi_b}]"
-            )
-        b_target = min(max(b_target, lo_b), hi_b)
-        if b_target == 1.0 and p > 1.0:
-            return 1.0
-        if b_target == 1.0 and p < 1.0:
-            return 1.0
-        lo, hi = 0.5, 1.0 - 1e-16
-        increasing = p > 1.0
-    else:
-        if b_target < b_half * (1.0 - 1e-12):
-            raise TargetOutOfRange(
-                f"b_target={b_target} below the minimum {b_half} for p={p}"
-            )
-        b_target = max(b_target, b_half)
-        lo, hi = 0.5, 0.75
-        while b_of_a(hi, p) < b_target:
-            hi = 0.5 * (1.0 + hi)
-            if 1.0 - hi < 1e-15:
-                if b_of_a(hi, p) < b_target:
-                    raise TargetOutOfRange(
-                        f"b_target={b_target} needs a closer to 1 than double "
-                        "precision can represent"
-                    )
-                break
-        increasing = True
-
-    a = 0.5 * (lo + hi)
-    for _ in range(200):
-        a = 0.5 * (lo + hi)
-        val = b_of_a(a, p)
-        if abs(val - b_target) <= tol or hi - lo <= 1e-17:
-            break
-        if (val < b_target) == increasing:
-            lo = a
+        if p > 0.0:
+            lo_val, hi_val = (b_half, 1.0) if p > 1.0 else (1.0, b_half)
+            lo_b, hi_b = min(lo_val, hi_val), max(lo_val, hi_val)
+            slack = 1e-9 * max(1.0, hi_b)
+            if not lo_b - slack <= b_target <= hi_b + slack:
+                raise TargetOutOfRange(
+                    f"b_target={b_target} outside attainable range [{lo_b}, {hi_b}]"
+                )
+            b_target = min(max(b_target, lo_b), hi_b)
+            if b_target == 1.0:
+                return 1.0
+            lo, hi = 0.5, 1.0 - 1e-16
+            increasing = p > 1.0
         else:
-            hi = a
-    return a
+            if b_target < b_half * (1.0 - 1e-12):
+                raise TargetOutOfRange(
+                    f"b_target={b_target} below the minimum {b_half} for p={p}"
+                )
+            b_target = max(b_target, b_half)
+            lo, hi = 0.5, 0.75
+            while _b(xp, hi, p) < b_target:
+                hi = 0.5 * (1.0 + hi)
+                if 1.0 - hi < 1e-15:
+                    if _b(xp, hi, p) < b_target:
+                        raise TargetOutOfRange(
+                            f"b_target={b_target} needs a closer to 1 than double "
+                            "precision can represent"
+                        )
+                    break
+            increasing = True
+
+        a = 0.5 * (lo + hi)
+        for _ in range(200):
+            a = 0.5 * (lo + hi)
+            val = _b(xp, a, p)
+            if abs(val - b_target) <= tol or hi - lo <= 1e-17:
+                break
+            if (val < b_target) == increasing:
+                lo = a
+            else:
+                hi = a
+        return a
 
 
 @dataclass(frozen=True)
@@ -169,14 +175,14 @@ class HyperbolicPoint:
     h: float
     db_dx: float
     dh_dx: float
-    dH_db: float | None
-    ddx_dH_db: float | None
-    d2H_db2: float | None
+    dH_db: float | None = None
+    ddx_dH_db: float | None = None
+    d2H_db2: float | None = None
 
 
-def _logsinh(u: float) -> float:
+def _logsinh(xp, u):
     """log(sinh(u)) for u > 0, stable for large u."""
-    return u + math.log1p(-math.exp(-2.0 * u)) - math.log(2.0)
+    return u + xp.log1p(-xp.exp(-2.0 * u)) - xp.log(2.0)
 
 
 def hyperbolic_point(x: float, p: float) -> HyperbolicPoint:
@@ -189,72 +195,34 @@ def hyperbolic_point(x: float, p: float) -> HyperbolicPoint:
     if p == 0.0:
         raise ZeroExponent("p = 0 is not admissible")
 
-    if high_precision():
-        return _hyperbolic_point_mp(x, p)
-
-    a = 1.0 / (1.0 + math.exp(-2.0 * x))
-    log_2cosh = logcosh(x) + math.log(2.0)
-    h = math.exp(-p * log_2cosh)
-    b = math.exp(math.log(2.0) + logcosh(p * x) - p * log_2cosh)
-    dh_dx = -p * math.tanh(x) * h
-
-    if x == 0.0:
-        return HyperbolicPoint(
-            x=x, a=a, b=b, h=h, db_dx=0.0, dh_dx=0.0,
-            dH_db=None, ddx_dH_db=None, d2H_db2=None,
-        )
-
-    u = abs(p - 1.0) * x
-    sign_s = 1.0 if p > 1.0 else -1.0  # sign of sinh((p-1)x) for x > 0
-    log_db = (
-        (1.0 - p) * math.log(2.0)
-        + math.log(abs(p))
-        + _logsinh(u)
-        - (p + 1.0) * logcosh(x)
-    )
-    db_dx = math.copysign(math.exp(log_db), p * sign_s)
-
-    dH_db = -math.copysign(
-        math.exp(_logsinh(x) - math.log(2.0) - _logsinh(u)), sign_s
-    )
-
-    gap = (p - 1.0) * math.tanh(x) - math.tanh((p - 1.0) * x)
-    # sinh((p-1)x) * tanh((p-1)x) = sinh(u) * tanh(u) > 0
-    log_den = math.log(2.0) + _logsinh(u) + math.log(math.tanh(u))
-    ddx = math.copysign(
-        math.exp(logcosh(x) + math.log(abs(gap)) - log_den), gap
-    ) if gap != 0.0 else 0.0
-
-    d2 = ddx / db_dx
-    return HyperbolicPoint(
-        x=x, a=a, b=b, h=h, db_dx=db_dx, dh_dx=dh_dx,
-        dH_db=dH_db, ddx_dH_db=ddx, d2H_db2=d2,
-    )
-
-
-def _hyperbolic_point_mp(x: float, p: float) -> HyperbolicPoint:
-    with mp_workdps() as mp:
-        xm, pm = mp.mpf(x), mp.mpf(p)
-        a = mp.e ** (2 * xm) / (1 + mp.e ** (2 * xm))
-        h = (2 * mp.cosh(xm)) ** (-pm)
-        b = 2 * mp.cosh(pm * xm) * h
-        dh = -pm * mp.tanh(xm) * h
-        if x == 0.0:
-            return HyperbolicPoint(
-                x=x, a=a, b=b, h=h, db_dx=mp.mpf(0), dh_dx=mp.mpf(0),
-                dH_db=None, ddx_dH_db=None, d2H_db2=None,
+    with backend() as xp:
+        xv, pv, log2 = xp.asarray(x), xp.asarray(p), xp.log(2.0)
+        a = 1.0 / (1.0 + xp.exp(-2.0 * xv))
+        log_2cosh = xp.logcosh(xv) + log2
+        h = xp.exp(-pv * log_2cosh)
+        b = xp.exp(log2 + xp.logcosh(pv * xv) - pv * log_2cosh)
+        dh_dx = -pv * xp.tanh(xv) * h
+        fields = dict(x=x, a=a, b=b, h=h, db_dx=0.0, dh_dx=0.0)
+        if x > 0.0:
+            u = abs(pv - 1.0) * xv
+            sign_s = 1.0 if p > 1.0 else -1.0  # sign of sinh((p-1)x) for x > 0
+            log_db = (1.0 - pv) * log2 + xp.log(abs(pv)) + _logsinh(xp, u) - (
+                (pv + 1.0) * xp.logcosh(xv)
             )
-        db = 2 ** (1 - pm) * pm * mp.sinh((pm - 1) * xm) / mp.cosh(xm) ** (pm + 1)
-        dHdb = -mp.sinh(xm) / (2 * mp.sinh((pm - 1) * xm))
-        ddx = (
-            mp.cosh(xm)
-            * ((pm - 1) * mp.tanh(xm) - mp.tanh((pm - 1) * xm))
-            / (2 * mp.sinh((pm - 1) * xm) * mp.tanh((pm - 1) * xm))
-        )
-        return HyperbolicPoint(
-            x=x, a=a, b=b, h=h, db_dx=db, dh_dx=dh,
-            dH_db=dHdb, ddx_dH_db=ddx, d2H_db2=ddx / db,
-        )
+            db_dx = (1.0 if p * sign_s > 0.0 else -1.0) * xp.exp(log_db)
+            dH_db = -sign_s * xp.exp(_logsinh(xp, xv) - log2 - _logsinh(xp, u))
+
+            gap = (pv - 1.0) * xp.tanh(xv) - xp.tanh((pv - 1.0) * xv)
+            # sinh((p-1)x) * tanh((p-1)x) = sinh(u) * tanh(u) > 0
+            log_den = log2 + _logsinh(xp, u) + xp.log(xp.tanh(u))
+            ddx = 0.0 if gap == 0.0 else (1.0 if gap > 0.0 else -1.0) * xp.exp(
+                xp.logcosh(xv) + xp.log(abs(gap)) - log_den
+            )
+            fields.update(
+                db_dx=db_dx, dh_dx=dh_dx, dH_db=dH_db, ddx_dH_db=ddx, d2H_db2=ddx / db_dx
+            )
+    require_finite(p, **fields)
+    return HyperbolicPoint(**fields)
 
 
 def curvature(x: float, p: float) -> float:
@@ -269,11 +237,9 @@ def curvature(x: float, p: float) -> float:
 def tanh_gap(t_param: float, x: float) -> float:
     """t*tanh(x) - tanh(t*x); vanishes at t in {-1, 0, 1}, positive for t > 1
     and -1 < t < 0 (x > 0), negative otherwise."""
-    if high_precision():
-        with mp_workdps() as mp:
-            tm, xm = mp.mpf(t_param), mp.mpf(x)
-            return tm * mp.tanh(xm) - mp.tanh(tm * xm)
-    return t_param * math.tanh(x) - math.tanh(t_param * x)
+    with backend() as xp:
+        t, x = xp.asarray(t_param), xp.asarray(x)
+        return t * xp.tanh(x) - xp.tanh(t * x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +288,16 @@ def _fraction(c, t):
     return (1.0 - c) * (t ** c + 1.0) * (1.0 - t) / (t ** c - t)
 
 
-def _chain_f(c, t):
+def _chain_f(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
     return (
-        -np.log1p(t ** c) / c
-        + np.log1p(t)
-        + (1.0 - c) / c * np.log1p((1.0 / x_big) ** c)
+        -xp.log1p(t ** c) / c
+        + xp.log1p(t)
+        + (1.0 - c) / c * xp.log1p((1.0 / x_big) ** c)
     )
 
 
-def _chain_f_prime(c, t):
+def _chain_f_prime(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
     bracket = 1.0 / (x_big ** c + 1.0) - (t ** c - t) / (
         (1.0 - c) * (t ** c + 1.0) * (1.0 - t)
@@ -339,17 +305,17 @@ def _chain_f_prime(c, t):
     return (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
 
 
-def _chain_g(c, t):
+def _chain_g(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
     return x_big ** c - (_fraction(c, t) - 1.0)
 
 
-def _chain_h(c, t):
+def _chain_h(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return c * np.log(x_big) - np.log(_fraction(c, t) - 1.0)
+    return c * xp.log(x_big) - xp.log(_fraction(c, t) - 1.0)
 
 
-def _chain_v(c, t):
+def _chain_v(xp, c, t):
     return (
         t * (2.0 * c * c - 1.0)
         - t * t * c * c
@@ -360,7 +326,7 @@ def _chain_v(c, t):
     )
 
 
-def _chain_v_prime(c, t):
+def _chain_v_prime(xp, c, t):
     return (
         2.0 * c * c - 1.0
         - 2.0 * c * c * t
@@ -371,7 +337,7 @@ def _chain_v_prime(c, t):
     )
 
 
-def _chain_q(c, t):
+def _chain_q_factor(xp, c, t):
     """v''(t)/(2c); for c = 2 it factors as (t-1)(5t^2-16t+8)."""
     return (
         -c
@@ -383,11 +349,11 @@ def _chain_q(c, t):
     )
 
 
-def _chain_v_dprime(c, t):
-    return 2.0 * c * _chain_q(c, t)
+def _chain_v_dprime(xp, c, t):
+    return 2.0 * c * _chain_q_factor(xp, c, t)
 
 
-def _chain_w(c, t):
+def _chain_w(xp, c, t):
     return (
         c * (c - 2.0)
         - (c + 1.0) * c * t
@@ -397,11 +363,11 @@ def _chain_w(c, t):
     )
 
 
-def _chain_v_tprime(c, t):
-    return 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (c - 3.0) * _chain_w(c, t)
+def _chain_v_tprime(xp, c, t):
+    return 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (c - 3.0) * _chain_w(xp, c, t)
 
 
-def _chain_p_quad(c, t):
+def _chain_p_quad(xp, c, t):
     return (
         t * t * (c + 1.0) * (1.0 + 2.0 * c)
         + 2.0 * t * (1.0 - 2.0 * c * c)
@@ -411,7 +377,7 @@ def _chain_p_quad(c, t):
     )
 
 
-def _chain_m(c, t):
+def _chain_m(xp, c, t):
     return (
         c * (2.0 - c) * t ** (1.0 - c)
         + c * (c + 1.0) * t ** (2.0 - c)
@@ -421,7 +387,7 @@ def _chain_m(c, t):
     )
 
 
-def _chain_u(c, t):
+def _chain_u(xp, c, t):
     return (
         -c * t ** (3.0 - 2.0 * c)
         + c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (1.0 - c)
@@ -432,7 +398,7 @@ def _chain_u(c, t):
     )
 
 
-def _chain_b_factor(c, t):
+def _chain_b_factor(xp, c, t):
     return (
         c ** 3
         - c
@@ -441,123 +407,13 @@ def _chain_b_factor(c, t):
     )
 
 
+# name -> formula(xp, c, t), one per chain function of t
 _CHAIN_FLOAT: Mapping[str, Callable] = {
-    "f": _chain_f,
-    "f_prime": _chain_f_prime,
-    "g": _chain_g,
-    "h": _chain_h,
-    "v": _chain_v,
-    "v_prime": _chain_v_prime,
-    "v_dprime": _chain_v_dprime,
-    "v_tprime": _chain_v_tprime,
-    "w": _chain_w,
-    "p_quad": _chain_p_quad,
-    "m": _chain_m,
-    "u": _chain_u,
-    "b_factor": _chain_b_factor,
-    "q_factor": _chain_q,
+    name: globals()["_chain_" + name] for name in CHAIN_NAMES if name != "h0"
 }
 
 # values at t = 1 for the names whose displayed form is 0/0 there
 _AT_ONE = {"f": 0.0, "f_prime": 0.0, "g": 0.0, "h": 0.0}
-
-
-def _chain_mp_value(name: str, c: float, t: float):
-    """High-precision evaluation of the displayed formulas (scalar)."""
-    with mp_workdps() as mp:
-        cm, tm = mp.mpf(c), mp.mpf(t)
-        one = mp.mpf(1)
-        if name in _AT_ONE and t == 1.0:
-            return mp.mpf(_AT_ONE[name])
-        x_big = (1 + tm) ** 2 / (4 * tm)
-        if name in ("f_prime", "g", "h", "f"):
-            frac = (1 - cm) * (tm ** cm + 1) * (1 - tm) / (tm ** cm - tm)
-            if name == "f":
-                return (
-                    -mp.log(1 + tm ** cm) / cm
-                    + mp.log(1 + tm)
-                    + (1 - cm) / cm * mp.log(1 + (1 / x_big) ** cm)
-                )
-            if name == "f_prime":
-                bracket = 1 / (x_big ** cm + 1) - (tm ** cm - tm) / (
-                    (1 - cm) * (tm ** cm + 1) * (1 - tm)
-                )
-                return (1 - cm) * (1 - tm) / (tm * (1 + tm)) * bracket
-            if name == "g":
-                return x_big ** cm - (frac - 1)
-            return cm * mp.log(x_big) - mp.log(frac - 1)
-        if name == "v":
-            return (
-                tm * (2 * cm ** 2 - 1)
-                - tm ** 2 * cm ** 2
-                + 2 * cm * (1 - 2 * cm) * (tm ** cm - tm ** (cm + 1))
-                + tm ** (2 * cm) * (1 - 2 * cm ** 2)
-                + (tm ** (1 + 2 * cm) - 1) * (1 - cm) ** 2
-                + tm ** (2 * cm - 1) * cm ** 2
-            )
-        if name == "v_prime":
-            return (
-                2 * cm ** 2 - 1
-                - 2 * cm ** 2 * tm
-                + 2 * cm * (1 - 2 * cm) * (cm * tm ** (cm - 1) - (cm + 1) * tm ** cm)
-                + 2 * cm * (1 - 2 * cm ** 2) * tm ** (2 * cm - 1)
-                + (1 - cm) ** 2 * (1 + 2 * cm) * tm ** (2 * cm)
-                + cm ** 2 * (2 * cm - 1) * tm ** (2 * cm - 2)
-            )
-        if name in ("v_dprime", "q_factor"):
-            q = (
-                -cm
-                + cm * (1 - 2 * cm) * (cm - 1) * tm ** (cm - 2)
-                - cm * (1 - 2 * cm) * (cm + 1) * tm ** (cm - 1)
-                + (2 * cm - 1) * (1 - 2 * cm ** 2) * tm ** (2 * cm - 2)
-                + (1 - cm) ** 2 * (1 + 2 * cm) * tm ** (2 * cm - 1)
-                + cm * (2 * cm - 1) * (cm - 1) * tm ** (2 * cm - 3)
-            )
-            return 2 * cm * q if name == "v_dprime" else q
-        w = (
-            cm * (cm - 2)
-            - (cm + 1) * cm * tm
-            - 2 * tm ** cm * (1 - 2 * cm ** 2)
-            + (1 - cm) * (1 + 2 * cm) * tm ** (cm + 1)
-            - cm * (2 * cm - 3) * tm ** (cm - 1)
-        )
-        if name == "w":
-            return w
-        if name == "v_tprime":
-            return 2 * cm * (1 - 2 * cm) * (cm - 1) * tm ** (cm - 3) * w
-        if name == "p_quad":
-            return (
-                tm ** 2 * (cm + 1) * (1 + 2 * cm)
-                + 2 * tm * (1 - 2 * cm ** 2)
-                + 2 * cm ** 2
-                - 7 * cm
-                + 6
-            )
-        if name == "m":
-            return (
-                cm * (2 - cm) * tm ** (1 - cm)
-                + cm * (cm + 1) * tm ** (2 - cm)
-                + 2 * (1 - 2 * cm ** 2) * tm
-                + (cm - 1) * (1 + 2 * cm) * tm ** 2
-                + cm * (2 * cm - 3)
-            )
-        if name == "u":
-            return (
-                -cm * tm ** (3 - 2 * cm)
-                + cm * (1 - 2 * cm) * (cm - 1) * tm ** (1 - cm)
-                - cm * (1 - 2 * cm) * (cm + 1) * tm ** (2 - cm)
-                + (2 * cm - 1) * (1 - 2 * cm ** 2) * tm
-                + (1 - cm) ** 2 * (1 + 2 * cm) * tm ** 2
-                + cm * (2 * cm - 1) * (cm - 1)
-            )
-        if name == "b_factor":
-            return (
-                cm ** 3
-                - cm
-                - tm * cm * (cm + 1) * (cm - 2)
-                + 2 * tm ** (2 - cm) * (2 * cm - 3)
-            )
-        raise NameRequiresC(f"unknown chain function {name!r}")
 
 
 def _h0_value(c: float) -> float:
@@ -579,12 +435,11 @@ def chain_eval(name: str, ctx: ChainContext, t: float) -> float:
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    if high_precision():
-        return _chain_mp_value(name, ctx.c, t)
-    if t == 1.0 and name in _AT_ONE:
-        return _AT_ONE[name]
-    with np.errstate(all="ignore"):
-        return float(_CHAIN_FLOAT[name](ctx.c, t))
+    with backend() as xp:
+        if t == 1.0 and name in _AT_ONE:
+            return xp.asarray(_AT_ONE[name])
+        with np.errstate(all="ignore"):
+            return _CHAIN_FLOAT[name](xp, xp.asarray(ctx.c), xp.asarray(t))
 
 
 def fraction_bound(ctx: ChainContext, t: float) -> float:
@@ -660,9 +515,9 @@ def _sign_of(x: float) -> int:
 
 
 def _mp_sign(name: str, c: float, t: float) -> int:
-    val = _chain_mp_value(name, c, t)
-    with mp_workdps() as mp:
-        return int(mp.sign(val))
+    """Sign of the chain function at 50 digits."""
+    with mp_workdps() as xp:
+        return _sign_of(_CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t)))
 
 
 def sign_changes(
@@ -696,7 +551,7 @@ def sign_changes(
         if is_callable:
             vals = np.asarray(name(t), dtype=float)
         else:
-            vals = np.asarray(_CHAIN_FLOAT[name](ctx.c, t), dtype=float)
+            vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, ctx.c, t), dtype=float)
 
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
@@ -730,7 +585,7 @@ def sign_changes(
         if is_callable:
             return _sign_of(float(name(np.asarray([x]))[0]))
         with np.errstate(all="ignore"):
-            v = float(_CHAIN_FLOAT[name](ctx.c, x))
+            v = float(_CHAIN_FLOAT[name](FLOAT, ctx.c, FLOAT.asarray(x)))
         if (
             not math.isfinite(v)
             or x >= 1.0 - _EDGE_GUARD
@@ -858,29 +713,15 @@ def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
         raise ExponentOutOfRange(
             "pattern claims exclude c in {0, 1/2, 1} (p in {1, 2} or infinite)"
         )
-    patterns: dict[str, PatternEntry] = {}
-    for name in CORE_AUDIT_NAMES:
+
+    def entry(name: str, expected: PatternKind) -> PatternEntry:
         observed = sign_changes(name, ctx, grid_size)
-        expected = expected_pattern(name, c)
-        patterns[name] = PatternEntry(
-            observed=observed, expected=expected, match=observed.overall is expected
-        )
-    extras: dict[str, PatternEntry] = {}
-    for name, expected in _extra_expectations(c).items():
-        observed = sign_changes(name, ctx, grid_size)
-        extras[name] = PatternEntry(
-            observed=observed, expected=expected, match=observed.overall is expected
-        )
+        return PatternEntry(observed, expected, match=observed.overall is expected)
+
+    patterns = {name: entry(name, expected_pattern(name, c)) for name in CORE_AUDIT_NAMES}
+    extras = {name: entry(name, kind) for name, kind in _extra_expectations(c).items()}
 
     t = np.linspace(ctx.delta, 1.0 - ctx.delta, grid_size)
     with np.errstate(all="ignore"):
-        frac = _fraction(c, t)
-    fraction_min = float(np.nanmin(frac))
-    fraction_ok = bool(fraction_min > 1.0 - 1e-12)
-    return ChainReport(
-        c=c,
-        patterns=patterns,
-        extras=extras,
-        fraction_min=fraction_min,
-        fraction_ok=fraction_ok,
-    )
+        fraction_min = float(np.nanmin(_fraction(c, t)))
+    return ChainReport(c, patterns, extras, fraction_min, bool(fraction_min > 1.0 - 1e-12))

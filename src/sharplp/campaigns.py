@@ -19,14 +19,17 @@ from __future__ import annotations
 import numpy as np
 
 from .inequality import main_sides_batch
-from .means import constant_factors
+from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
 from .measure import MeasureSpace, SimpleFunction
+from .precision import backend
 from .schatten import lieb_thirring_stack, random_psd_stack, schatten_verify_stack
 
 FORWARD_PS = (0.3, 0.7, 2.5, 3.0, 4.5, 9.0)
 REVERSE_PS = (-3.0, -0.7, 1.2, 1.8)
 DEFAULT_TRIALS = 2000
 MAX_POINTS = 12
+
+MEANS_TRIALS = 100
 
 SCHATTEN_PS = (2.0, 4.0, 8.0, 16.0)
 SCHATTEN_DIMS = (2, 3, 4, 5, 6)
@@ -224,3 +227,81 @@ def factor_grid(
         q = 2.0 / col
     values = np.asarray(constant_factors(alphas[None, :], col, q), dtype=float)
     return alphas, ps, values
+
+
+def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict:
+    """Seeded checks of the mean-chain ordering and the power-mean form.
+
+    For each p, ``trials`` pairs (x, y) uniform on (0, 2] are drawn.  For
+    p > 2 the four terms of ``agm_chain`` must be non-increasing and
+    nonnegative within 1e-12.  For every p the power-mean form
+    M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p must hold in the region's direction
+    within relative 1e-9.  The mode of ``SHARPLP_PRECISION`` is read once,
+    and under ``high`` every step, the checks included, runs at 50 digits.
+    """
+    rng = np.random.default_rng(seed)
+    failures, max_gap = 0, 0.0
+    example = example_sides = None
+    with backend() as xp:
+        for p in ps:
+            for _ in range(trials):
+                x, y = _positive_uniform(rng.random(2))
+                if p > 2.0:
+                    chain = _agm_chain(xp, x, y, p)
+                    terms = chain.terms
+                    ordered = all(terms[i] >= terms[i + 1] - 1e-12 for i in range(3))
+                    failures += not (ordered and terms[3] >= -1e-12)
+                    if example is None:
+                        example = {
+                            "x": x, "y": y, "p": p,
+                            "A": chain.A, "G": chain.G,
+                            "Mp": chain.Mp, "Mp_dual": chain.Mp_dual,
+                            "terms": list(terms),
+                        }
+                m1 = _power_mean(xp, x, y, 1.0)
+                mp_ = _power_mean(xp, x, y, p)
+                mmp = _power_mean(xp, x, y, -p)
+                lhs = m1 ** p
+                rhs = ((mp_ + mmp) / 2.0) ** (p - 1.0) * mp_
+                if example_sides is None:
+                    example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
+                gap = (lhs - rhs) / max(abs(lhs), abs(rhs))
+                v = gap if 0.0 < p <= 1.0 or p >= 2.0 else -gap  # > 0: wrong direction
+                max_gap = max(max_gap, v)
+                failures += v > 1e-9
+    return {
+        "seed": seed,
+        "trials": trials,
+        "ps": list(ps),
+        "failures": failures,
+        "max_violation": max_gap,
+        "example_chain": example,
+        "example_mean_sides": example_sides,
+        "passed": failures == 0,
+    }
+
+
+def sharpness_campaign(ps, r: float) -> list[dict]:
+    """``sharpness_probe`` at each p with coupling power r times 2/p.
+
+    A probe passes when its measured slope at s = 0 is within 1% of p(1-r)
+    and a sign witness was found exactly where one is expected: r > 1 for
+    p > 2, r < 1 for p < 0 and for 0 < p < 2.
+    """
+    results = []
+    for p in ps:
+        probe = sharpness_probe(p, r)
+        witness_expected = (p > 2.0 and r > 1.0) or (
+            r < 1.0 and (p < 0.0 or (0.0 < p < 2.0 and p != 1.0))
+        )
+        slope_error = abs(probe.slope_measured - probe.slope_predicted)
+        slope_ok = slope_error <= 0.01 * max(abs(probe.slope_predicted), 1e-6)
+        results.append({
+            "p": p, "r": r,
+            "slope_predicted": probe.slope_predicted,
+            "slope_measured": probe.slope_measured,
+            "witness_s": probe.witness_s,
+            "witness_expected": witness_expected,
+            "passed": slope_ok and (probe.witness_s is not None) == witness_expected,
+        })
+    return results

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from . import campaigns
 from .audit import ChainContext, ChainReport, audit_chain
 from .errors import SharpLpError
-from .means import agm_chain, power_mean, sharpness_probe
 from .precision import active_mode
 
 # c values swept by default in `audit`; they cover every claim range of the
@@ -60,10 +60,28 @@ def _check_p_value(p: float) -> float:
 
 
 def _parse_float_list(raw: str) -> list[float]:
+    """Comma-separated finite numbers; at least one."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {raw!r}") from exc
+    if not values or not all(map(math.isfinite, values)):
+        raise UsageError(f"expected one or more finite numbers, got {raw!r}")
+    return values
+
+
+def _check_finite_options(options: dict[str, Any]) -> None:
+    for key, value in options.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+
+
+def _check_trials_and_seed(options: dict[str, Any]) -> None:
+    """The seeded campaigns need at least one trial and a seed numpy accepts."""
+    if options["trials"] < 1:
+        raise UsageError("--trials must be positive")
+    if options["seed"] < 0:
+        raise UsageError("--seed must be non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     means = sub.add_parser("means", help="mean-chain ordering and power-mean form")
     means.add_argument("--p-list", type=str, default="3.0")
-    means.add_argument("--trials", type=int, default=100)
+    means.add_argument("--trials", type=int, default=campaigns.MEANS_TRIALS)
     means.add_argument("--seed", type=int, default=0)
 
     for p in (contour, verify, audit, sharp, schatten, means):
@@ -151,15 +169,7 @@ def _pattern_to_dict(entry) -> dict[str, Any]:
     return {
         "observed": {
             "overall": entry.observed.overall.value,
-            "crossings": [
-                {
-                    "bracket_lo": c.bracket_lo,
-                    "bracket_hi": c.bracket_hi,
-                    "sign_before": c.sign_before,
-                    "sign_after": c.sign_after,
-                }
-                for c in entry.observed.crossings
-            ],
+            "crossings": [asdict(c) for c in entry.observed.crossings],
         },
         "expected": entry.expected.value,
         "match": entry.match,
@@ -216,8 +226,9 @@ def _run_contour(config: CommandConfig) -> int:
 
 def _run_verify(config: CommandConfig) -> int:
     o = config.options
-    if o["trials"] < 1:
-        raise UsageError("--trials must be positive")
+    _check_trials_and_seed(o)
+    if o["points"] < 2:
+        raise UsageError("--points must be at least 2")
     if o["p_list"] is None:
         forward, reverse = campaigns.FORWARD_PS, campaigns.REVERSE_PS
     else:
@@ -225,11 +236,7 @@ def _run_verify(config: CommandConfig) -> int:
         forward = [p for p in ps if 0.0 < p <= 1.0 or p >= 2.0]
         reverse = [p for p in ps if p < 0.0 or 1.0 < p < 2.0]
     summary = campaigns.verify_campaign(
-        seed=o["seed"],
-        trials=o["trials"],
-        forward_ps=tuple(forward),
-        reverse_ps=tuple(reverse),
-        max_points=o["points"],
+        o["seed"], o["trials"], tuple(forward), tuple(reverse), o["points"]
     )
     summary["precision_mode"] = active_mode()
     _write_output(_json_text(summary), config.out_path)
@@ -259,46 +266,15 @@ def _run_audit(config: CommandConfig) -> int:
 
 def _run_sharpness(config: CommandConfig) -> int:
     o = config.options
-    results = []
-    all_ok = True
-    for p in _parse_float_list(o["p_list"]):
-        r = o["r"]
-        probe = sharpness_probe(p, r)
-        witness_expected = (
-            (p > 2.0 and r > 1.0)
-            or (p < 0.0 and r < 1.0)
-            or (0.0 < p < 2.0 and p != 1.0 and r < 1.0)
-        )
-        slope_ok = (
-            abs(probe.slope_measured - probe.slope_predicted)
-            <= 0.01 * max(abs(probe.slope_predicted), 1e-6)
-        )
-        ok = slope_ok and (probe.witness_s is not None) == witness_expected
-        all_ok = all_ok and ok
-        results.append(
-            {
-                "p": p,
-                "r": r,
-                "slope_predicted": probe.slope_predicted,
-                "slope_measured": probe.slope_measured,
-                "witness_s": probe.witness_s,
-                "witness_expected": witness_expected,
-                "passed": ok,
-            }
-        )
+    results = campaigns.sharpness_campaign(_parse_float_list(o["p_list"]), o["r"])
     _write_output(_json_text(results), config.out_path)
-    return 0 if all_ok else 1
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 def _run_schatten(config: CommandConfig) -> int:
     o = config.options
-    if o["trials"] < 1:
-        raise UsageError("--trials must be positive")
-    ps = (
-        campaigns.SCHATTEN_PS
-        if o["p_list"] is None
-        else tuple(_parse_float_list(o["p_list"]))
-    )
+    _check_trials_and_seed(o)
+    ps = campaigns.SCHATTEN_PS if o["p_list"] is None else _parse_float_list(o["p_list"])
     dims = campaigns.SCHATTEN_DIMS if o["dim"] is None else (o["dim"],)
     summary = campaigns.schatten_campaign(
         seed=o["seed"], trials=o["trials"], ps=ps, dims=dims
@@ -309,54 +285,9 @@ def _run_schatten(config: CommandConfig) -> int:
 
 def _run_means(config: CommandConfig) -> int:
     o = config.options
-    rng = np.random.default_rng(o["seed"])
+    _check_trials_and_seed(o)
     ps = [_check_p_value(p) for p in _parse_float_list(o["p_list"])]
-    failures = 0
-    max_gap = 0.0
-    example = None
-    example_sides = None
-    for p in ps:
-        for _ in range(o["trials"]):
-            x, y = 2.0 * (1.0 - rng.random(2))
-            if p > 2.0:
-                chain = agm_chain(x, y, p)
-                terms = chain.terms
-                ordered = all(
-                    terms[i] >= terms[i + 1] - 1e-12 for i in range(3)
-                ) and terms[3] >= -1e-12
-                if not ordered:
-                    failures += 1
-                if example is None:
-                    example = {
-                        "x": x, "y": y, "p": p,
-                        "A": chain.A, "G": chain.G,
-                        "Mp": chain.Mp, "Mp_dual": chain.Mp_dual,
-                        "terms": list(terms),
-                    }
-            # power-mean form: M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p
-            m1 = power_mean(x, y, 1.0)
-            mp_ = power_mean(x, y, p)
-            mmp = power_mean(x, y, -p)
-            lhs = m1 ** p
-            rhs = ((mp_ + mmp) / 2.0) ** (p - 1.0) * mp_
-            if example_sides is None:
-                example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
-            gap = (lhs - rhs) / max(abs(lhs), abs(rhs))
-            forward = 0.0 < p <= 1.0 or p >= 2.0
-            v = gap if forward else -gap
-            max_gap = max(max_gap, v)
-            if v > 1e-9:
-                failures += 1
-    summary = {
-        "seed": o["seed"],
-        "trials": o["trials"],
-        "ps": ps,
-        "failures": failures,
-        "max_violation": max_gap,
-        "example_chain": example,
-        "example_mean_sides": example_sides,
-        "passed": failures == 0,
-    }
+    summary = campaigns.means_campaign(seed=o["seed"], trials=o["trials"], ps=ps)
     _write_output(_json_text(summary), config.out_path)
     return 0 if summary["passed"] else 1
 
@@ -381,11 +312,9 @@ def run(config: CommandConfig) -> int:
     try:
         if config.command != "contour" and config.format == "csv":
             raise UsageError(f"{config.command} output is JSON only")
+        _check_finite_options(config.options)
         return _RUNNERS[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SharpLpError as exc:
+    except (UsageError, SharpLpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ExponentOutOfRange, NegativeInput, SharpLpError, ZeroPair
 from .inequality import InequalityReport, main_sides
 from .measure import MeasureSpace, SimpleFunction, lp_functional, lp_norm
-from .precision import high_precision, mp_workdps
+from .precision import backend, require_finite
 
 _CHECK_SLACK = 1e-9
 
@@ -66,12 +66,11 @@ def psi(t_param: float, alpha: float) -> float:
     """(1+a)^(1+t) - (1+a^2)^t - 2^t a for a >= 0."""
     if alpha < 0.0:
         raise NegativeInput("psi is defined on alpha >= 0")
-    if high_precision():
-        with mp_workdps() as mp:
-            tm, am = mp.mpf(t_param), mp.mpf(alpha)
-            return (1 + am) ** (1 + tm) - (1 + am * am) ** tm - 2 ** tm * am
-    a, t = float(alpha), float(t_param)
-    return (1.0 + a) ** (1.0 + t) - (1.0 + a * a) ** t - 2.0 ** t * a
+    with backend() as xp, np.errstate(over="ignore", invalid="ignore"):
+        a, t = xp.asarray(alpha), xp.asarray(t_param)
+        value = (1.0 + a) ** (1.0 + t) - (1.0 + a * a) ** t - 2.0 ** t * a
+    require_finite(t_param, psi=value)
+    return value
 
 
 def _link(name: str, lhs: float, rhs: float, direction: str) -> DoublingLink:

@@ -39,10 +39,10 @@ from .measure import (
     RegionKind,
     SimpleFunction,
     check_stack,
-    overlap_norm_rows,
+    overlap_rows,
     power_rows,
 )
-from .precision import require_finite
+from .precision import backend, require_finite
 
 RELATIVE_SLACK = 1e-9
 
@@ -132,25 +132,24 @@ def main_sides_batch(
     f, weights, mask = check_stack(f, weights, mask)
     g, _, _ = check_stack(g, weights, mask)
     _validate_pair(f[mask], g[mask], p)
-    lhs = power_rows(f + g, weights, mask, p)
-    F = power_rows(f, weights, mask, p)
-    G = power_rows(g, weights, mask, p)
-    S = F + G
-    if np.any(S == 0.0):
-        raise ZeroNorm("f and g cannot both vanish identically")
-    ov = overlap_norm_rows(f, g, weights, p, mask)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
-        rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+    with backend() as xp:
+        lhs = power_rows(xp, f + g, weights, mask, p)
+        F = power_rows(xp, f, weights, mask, p)
+        G = power_rows(xp, g, weights, mask, p)
+        S = F + G
+        if np.any(S == 0.0):
+            raise ZeroNorm("f and g cannot both vanish identically")
+        ov = overlap_rows(xp, f, g, weights, p, mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
+            rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
 
-        both = (F > 0.0) & (G > 0.0)
-        gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
-        carbery_rhs = gamma.copy()
-        norms = power_rows(f[both], weights[both], mask[both], p, root=True) * power_rows(
-            g[both], weights[both], mask[both], p, root=True
-        )
-        gamma[both] = ov[both] / norms
-        carbery_rhs[both] = (1.0 + gamma[both]) ** (p - 1.0) * S[both]
+            both = (F > 0.0) & (G > 0.0)
+            gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
+            carbery_rhs = gamma.copy()
+            norm = lambda h: power_rows(xp, h[both], weights[both], mask[both], p, root=True)
+            gamma[both] = ov[both] / (norm(f) * norm(g))
+            carbery_rhs[both] = (1.0 + gamma[both]) ** (p - 1.0) * S[both]
     require_finite(
         p, rhs=rhs, gamma_tilde=gamma_tilde,
         gamma=gamma[both], carbery_rhs=carbery_rhs[both],

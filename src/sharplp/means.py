@@ -9,9 +9,12 @@ when the ratio alpha = f/(f+g) is constant,
 which is >= 1 on the forward exponent ranges and <= 1 on the reverse ranges,
 with the natural exponent q = 2/p.  ``constant_factors`` evaluates it over
 whole arrays (the contour grid) and ``constant_factor`` is that kernel on one
-element.  ``sharpness_probe`` demonstrates that no
-power other than 2/p works, by measuring the first-order slope of the
-substituted gap function near its flat point and searching for sign witnesses.
+element.  ``sharpness_probe`` demonstrates that no power other than 2/p works,
+by measuring the first-order slope of the substituted gap function near its
+flat point and searching for sign witnesses.
+
+Each quantity is one log-domain expression over a backend ``xp`` of
+``precision``: doubles, or 50 digits under ``SHARPLP_PRECISION=high``.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .errors import (
     OutOfDomain,
     ZeroExponent,
 )
-from .precision import high_precision, logaddexp, logcosh, mp_workdps
+from .precision import backend, require_finite
 
 # Sign witnesses are searched on (0, 0.1] with log-spaced samples, then the
 # extremal violation is polished by golden-section; the flat point sits at
@@ -63,33 +66,31 @@ def power_mean(x: float, y: float, q: float) -> float:
     """
     if x <= 0.0 or y <= 0.0:
         raise NonpositiveArgument("power means need x, y > 0")
-    if high_precision():
-        with mp_workdps() as mp:
-            xm, ym, qm = mp.mpf(x), mp.mpf(y), mp.mpf(q)
-            if q == 0.0:
-                return mp.sqrt(xm * ym)
-            return ((xm ** qm + ym ** qm) / 2) ** (1 / qm)
-    lx, ly = math.log(x), math.log(y)
+    with backend() as xp:
+        return _power_mean(xp, x, y, q)
+
+
+def _power_mean(xp, x, y, q):
+    lx, ly = xp.log(xp.asarray(x)), xp.log(xp.asarray(y))
     mid, d = 0.5 * (lx + ly), 0.5 * (lx - ly)
     if q == 0.0:
-        return math.exp(mid)
-    return math.exp(mid + logcosh(q * d) / q)
-
-
-_LOG2 = math.log(2.0)
+        mean = xp.exp(mid)
+    else:
+        qv = xp.asarray(q)
+        mean = xp.exp(mid + xp.logcosh(qv * d) / qv)
+    require_finite(q, power_mean=mean)
+    return mean
 
 
 def constant_factors(alpha, p, q_exponent) -> np.ndarray:
     """``constant_factor`` elementwise over broadcast arrays of its arguments.
 
-    The double path is one log-domain array evaluation; under
-    ``SHARPLP_PRECISION=high`` each element is evaluated at 50 digits and the
-    result is an object array of mpf.  The checks of the scalar function
-    apply to every element.
+    One log-domain array evaluation, in doubles or, under
+    ``SHARPLP_PRECISION=high``, at 50 digits as an object array of mpf.  The
+    checks of the scalar function apply to every element, and a double
+    result that is not finite raises NumericRange.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q_exponent, dtype=float)
+    alpha, p, q = (np.asarray(v, dtype=float) for v in (alpha, p, q_exponent))
     if (p == 0.0).any():
         raise ZeroExponent("p = 0 is not admissible")
     outside = ~((alpha >= 0.0) & (alpha <= 1.0))
@@ -98,25 +99,15 @@ def constant_factors(alpha, p, q_exponent) -> np.ndarray:
     endpoint = (alpha == 0.0) | (alpha == 1.0)
     if (endpoint & (p < 0.0)).any():
         raise EndpointWithNegativeP("alpha in {0,1} is not admissible for p < 0")
-    if high_precision():
-        alpha, p, q, endpoint = np.broadcast_arrays(alpha, p, q, endpoint)
-        out = np.full(alpha.shape, 1.0, dtype=object)
-        with mp_workdps() as mp:
-            for i in np.ndindex(alpha.shape):
-                if endpoint[i]:
-                    continue
-                am, pm, qm = mp.mpf(alpha[i]), mp.mpf(p[i]), mp.mpf(q[i])
-                b = am ** pm + (1 - am) ** pm
-                R = 2 * am ** (pm / 2) * (1 - am) ** (pm / 2) / b
-                out[i] = (1 + R ** qm) ** (pm - 1) * b
-        return out
-    with np.errstate(divide="ignore", invalid="ignore"):  # at the endpoints
-        la, l1a = np.log(alpha), np.log1p(-alpha)
-        log_b = np.logaddexp(p * la, p * l1a)
-        log_R = _LOG2 + 0.5 * p * (la + l1a) - log_b  # R <= 1 always
-        log_factor = (p - 1.0) * np.log1p(np.exp(q * log_R))
-        values = np.exp(log_factor + log_b)
-    return np.where(endpoint, 1.0, values)
+    with backend() as xp, np.errstate(divide="ignore", invalid="ignore"):
+        a, pv, qv = xp.asarray(alpha), xp.asarray(p), xp.asarray(q)
+        la, l1a = xp.log(a), xp.log1p(-a)  # -inf at the endpoints
+        log_b = xp.logaddexp(pv * la, pv * l1a)
+        log_R = xp.log(2.0) + 0.5 * pv * (la + l1a) - log_b  # R <= 1 always
+        log_factor = (pv - 1.0) * xp.log1p(xp.exp(qv * log_R))
+        values = np.where(endpoint, 1.0, xp.exp(log_factor + log_b))
+    require_finite(p, factor=values)
+    return values
 
 
 def constant_factor(alpha: float, p: float, q_exponent: float) -> float:
@@ -140,11 +131,17 @@ def agm_chain(x: float, y: float, p: float) -> AGMChain:
         raise NonpositiveArgument("chain needs x, y > 0")
     if not p > 2.0:
         raise ExponentOutOfRange("chain requires p > 2")
+    with backend() as xp:
+        return _agm_chain(xp, x, y, p)
+
+
+def _agm_chain(xp, x, y, p) -> AGMChain:
     p_dual = p / (p - 1.0)
+    x, y = xp.asarray(x), xp.asarray(y)
     A = 0.5 * (x + y)
-    G = math.sqrt(x * y)
-    Mp = power_mean(x, y, p)
-    Mp_dual = power_mean(x, y, p_dual)
+    G = xp.sqrt(x * y)
+    Mp = _power_mean(xp, x, y, p)
+    Mp_dual = _power_mean(xp, x, y, p_dual)
     terms = (
         1.0 - (A / Mp) ** p_dual,
         0.5 * (1.0 - (G / Mp) ** 2),
@@ -159,20 +156,22 @@ def agm_chain(x: float, y: float, p: float) -> AGMChain:
 _P1_SWITCH = 1e-6
 
 
-def _f1_limit(s: float) -> float:
+def _f1_limit(xp, s):
     """Explicit value of the gap function at p = 1."""
-    rs = math.sqrt(s)
-    return (
-        (2.0 - s)
-        * (1.0 - rs) ** (0.5 * (1.0 - rs))
-        * (1.0 + rs) ** (0.5 * (1.0 + rs))
-        - 2.0
-    )
+    rs = xp.sqrt(s)
+    return (2.0 - s) * (1.0 - rs) ** (0.5 * (1.0 - rs)) * (1.0 + rs) ** (0.5 * (1.0 + rs)) - 2.0
 
 
-def _log_eta(s: float, p: float) -> float:
-    rs = math.sqrt(s)
-    return logaddexp(p * math.log1p(rs), p * math.log1p(-rs)) - math.log(2.0)
+def _checked_s(s: float) -> float:
+    s = float(s)
+    if not 0.0 <= s < 1.0:
+        raise OutOfDomain(f"s must lie in [0, 1), got {s}")
+    return s
+
+
+def _log_eta(xp, s, p):
+    rs = xp.sqrt(s)
+    return xp.logaddexp(p * xp.log1p(rs), p * xp.log1p(-rs)) - xp.log(2.0)
 
 
 def eta_family(s: float, p: float) -> tuple[float, float]:
@@ -182,31 +181,22 @@ def eta_family(s: float, p: float) -> tuple[float, float]:
     p < 0 or p > 2 and <= 0 on 0 < p < 2; near p = 1 the explicit limit
     formula is used.
     """
-    s = float(s)
-    p = float(p)
-    if not 0.0 <= s < 1.0:
-        raise OutOfDomain(f"s must lie in [0, 1), got {s}")
+    s, p = _checked_s(s), float(p)
     if p == 0.0:
         raise ZeroExponent("p = 0 is not admissible")
-    if high_precision():
-        with mp_workdps() as mp:
-            sm, pm = mp.mpf(s), mp.mpf(p)
-            rs = mp.sqrt(sm)
-            eta = ((1 + rs) ** pm + (1 - rs) ** pm) / 2
-            if abs(p - 1.0) <= _P1_SWITCH:
-                f = (2 - sm) * (1 - rs) ** ((1 - rs) / 2) * (1 + rs) ** ((1 + rs) / 2) - 2
-            else:
-                f = eta ** (1 / (pm - 1)) + (1 - sm) * eta ** ((2 - pm) / (pm * (pm - 1))) - 2
-            return eta, f
-    log_eta = _log_eta(s, p)
-    eta = math.exp(log_eta)
-    if abs(p - 1.0) <= _P1_SWITCH:
-        return eta, _f1_limit(s)
-    f = (
-        math.exp(log_eta / (p - 1.0))
-        + math.exp(math.log1p(-s) + log_eta * (2.0 - p) / (p * (p - 1.0)))
-        - 2.0
-    )
+    with backend() as xp:
+        s, pv = xp.asarray(s), xp.asarray(p)
+        log_eta = _log_eta(xp, s, pv)
+        eta = xp.exp(log_eta)
+        if abs(p - 1.0) <= _P1_SWITCH:
+            f = _f1_limit(xp, s)
+        else:
+            f = (
+                xp.exp(log_eta / (pv - 1.0))
+                + xp.exp(xp.log1p(-s) + log_eta * (2.0 - pv) / (pv * (pv - 1.0)))
+                - 2.0
+            )
+    require_finite(p, eta=eta, gap=f)
     return eta, f
 
 
@@ -218,21 +208,20 @@ def g_rp(s: float, r: float, p: float) -> float:
     r = 1 recovers the gap of ``eta_family``; near s = 0 the leading behavior
     is p(1-r)s, which drives the sharpness argument.
     """
-    s = float(s)
-    p = float(p)
-    if not 0.0 <= s < 1.0:
-        raise OutOfDomain(f"s must lie in [0, 1), got {s}")
+    s, p = _checked_s(s), float(p)
     if p == 0.0 or p == 1.0:
         raise ZeroExponent("p in {0, 1} is not admissible here")
-    if high_precision():
-        with mp_workdps() as mp:
-            sm, rm, pm = mp.mpf(s), mp.mpf(r), mp.mpf(p)
-            rs = mp.sqrt(sm)
-            eta = ((1 + rs) ** pm + (1 - rs) ** pm) / 2
-            return eta ** (1 / (pm - 1)) * (1 + ((1 - sm) / eta ** (2 / pm)) ** rm) - 2
-    log_eta = _log_eta(s, p)
-    inner = r * (math.log1p(-s) - (2.0 / p) * log_eta)
-    return math.exp(log_eta / (p - 1.0) + math.log1p(math.exp(inner))) - 2.0
+    with backend() as xp:
+        return _g_rp(xp, s, r, p)
+
+
+def _g_rp(xp, s, r, p):
+    s, r, pv = xp.asarray(s), xp.asarray(r), xp.asarray(p)
+    log_eta = _log_eta(xp, s, pv)
+    inner = r * (xp.log1p(-s) - (2.0 / pv) * log_eta)
+    g = xp.exp(log_eta / (pv - 1.0) + xp.log1p(xp.exp(inner))) - 2.0
+    require_finite(p, g_rp=g)
+    return g
 
 
 def _claimed_sign(p: float) -> int:
@@ -252,26 +241,27 @@ def sharpness_probe(p: float, r: float) -> SharpnessResult:
     p = float(p)
     if p in (0.0, 1.0, 2.0):
         raise ExponentOutOfRange("sharpness is probed away from p in {0, 1, 2}")
-    h = 1e-6
-    d1 = g_rp(h, r, p) / h
-    d2 = g_rp(0.5 * h, r, p) / (0.5 * h)
-    slope_measured = 2.0 * d2 - d1
-    slope_predicted = p * (1.0 - r)
-
     claimed = _claimed_sign(p)
-    lo, hi = _WITNESS_RANGE
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _WITNESS_POINTS))
-    violation = lambda s: -claimed * g_rp(float(s), r, p)  # > 0 where claim fails
-    vals = np.array([violation(s) for s in grid])
-    worst = int(np.argmax(vals))
-    witness = None
-    if vals[worst] > _WITNESS_THRESHOLD:
-        # polish the extremal violation between the neighbors of the best sample
-        a = grid[max(worst - 1, 0)]
-        b = grid[min(worst + 1, len(grid) - 1)]
-        witness = _golden_max(violation, float(a), float(b))
-        if violation(witness) <= _WITNESS_THRESHOLD:
-            witness = float(grid[worst])
+    with backend() as xp:
+        h = 1e-6
+        d1 = _g_rp(xp, h, r, p) / h
+        d2 = _g_rp(xp, 0.5 * h, r, p) / (0.5 * h)
+        slope_measured = 2.0 * d2 - d1
+        slope_predicted = p * (1.0 - r)
+
+        lo, hi = _WITNESS_RANGE
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _WITNESS_POINTS))
+        violation = lambda s: -claimed * _g_rp(xp, float(s), r, p)  # > 0 where claim fails
+        vals = np.array([violation(s) for s in grid])
+        worst = int(np.argmax(vals))
+        witness = None
+        if vals[worst] > _WITNESS_THRESHOLD:
+            # polish the extremal violation between the neighbors of the best sample
+            a = grid[max(worst - 1, 0)]
+            b = grid[min(worst + 1, len(grid) - 1)]
+            witness = _golden_max(violation, float(a), float(b))
+            if violation(witness) <= _WITNESS_THRESHOLD:
+                witness = float(grid[worst])
     return SharpnessResult(
         slope_predicted=slope_predicted,
         slope_measured=float(slope_measured),

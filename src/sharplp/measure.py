@@ -8,8 +8,10 @@ the contract is the formula.
 
 The ``*_rows`` kernels evaluate these over a stack of instances at once:
 (instances, points) arrays of values and weights, zero-padded, with a mask
-marking the points of each row.  The scalar functions wrap them with one row,
-so each formula is written once.
+marking the points of each row.  The scalar functions wrap them with one row.
+``power_rows`` is the one formula for both backends of ``precision``: the sum
+of w |v|^p over the masked entries of each row, in doubles or at 50 digits;
+only doubles switch to per-term logs above |p| = 8, to stay in range.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .errors import (
     ZeroExponent,
     ZeroSumPoint,
 )
-from .precision import high_precision, mp_workdps, require_finite
+from .precision import FLOAT, backend, require_finite
 
 # |p| above this threshold switches to per-term log-domain evaluation, which
 # stays finite for |p| up to several hundred on double precision.
@@ -180,19 +182,6 @@ def _log_functional_rows(values, weights, mask, p: float) -> np.ndarray:
     return _logsumexp_rows(logs)
 
 
-def _power_rows_mp(values, weights, mask, p: float, root: bool) -> np.ndarray:
-    out = np.empty(values.shape[0], dtype=object)
-    with mp_workdps() as mp:
-        pm = mp.mpf(p)
-        for i, row in enumerate(mask):
-            total = mp.fsum(
-                mp.mpf(w) * mp.mpf(abs(v)) ** pm
-                for v, w in zip(values[i, row], weights[i, row])
-            )
-            out[i] = total ** (1 / pm) if root else total
-    return out
-
-
 def _checked_rows(values, weights, mask, p: float):
     p = _check_exponent(p)
     values, weights, mask = check_stack(values, weights, mask)
@@ -200,25 +189,27 @@ def _checked_rows(values, weights, mask, p: float):
     return values, weights, mask, p
 
 
-def power_rows(values, weights, mask, p: float, root: bool = False) -> np.ndarray:
+def power_rows(xp, values, weights, mask, p: float, root: bool = False) -> np.ndarray:
     """Row-wise power functional, or its 1/p-th root, of a stack that
-    ``check_stack`` accepted, for p != 0 and (p < 0) positive values.
+    ``check_stack`` accepted, for p != 0 and (p < 0) positive values, in
+    backend ``xp``.
 
-    The double path is one array evaluation, per-term log-domain above
-    |p| = 8; under ``SHARPLP_PRECISION=high`` each row is summed at 50 digits
-    and the result is an object array of mpf.  Raises NumericRange when a
-    double result is not finite.
+    Only the masked entries are evaluated (0^p is infinite for p < 0).  In
+    doubles, |p| > 8 is evaluated from per-term logs; at 50 digits the result
+    is an object array of mpf.  Raises NumericRange when a double result is
+    not finite.
     """
-    if high_precision():
-        return _power_rows_mp(values, weights, mask, p, root)
-    # padding is masked out after the fact: 0^p there is infinite for p < 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if abs(p) > LOG_DOMAIN_THRESHOLD:
+        if xp is FLOAT and abs(p) > LOG_DOMAIN_THRESHOLD:
             ls = _log_functional_rows(values, weights, mask, p)
             out = np.exp(ls / p if root else ls)
         else:
-            total = np.where(mask, weights * np.abs(values) ** p, 0.0).sum(axis=1)
-            out = total ** (1.0 / p) if root else total
+            pw = xp.asarray(p)
+            masked = xp.asarray(weights[mask]) * xp.asarray(np.abs(values[mask])) ** pw
+            terms = np.zeros(values.shape, dtype=masked.dtype)
+            terms[mask] = masked
+            total = terms.sum(axis=1)
+            out = total ** (1.0 / pw) if root else total
     require_finite(p, functional=out)
     return out
 
@@ -228,14 +219,16 @@ def lp_functional_rows(
 ) -> np.ndarray:
     """Row-wise sum_j w_ij |v_ij|^p over a stack of instances, with every
     check of lp_functional (see check_stack and power_rows)."""
-    return power_rows(*_checked_rows(values, weights, mask, p))
+    with backend() as xp:
+        return power_rows(xp, *_checked_rows(values, weights, mask, p))
 
 
 def lp_norm_rows(
     values: np.ndarray, weights: np.ndarray, p: float, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Row-wise 1/p-th root of lp_functional_rows."""
-    return power_rows(*_checked_rows(values, weights, mask, p), root=True)
+    with backend() as xp:
+        return power_rows(xp, *_checked_rows(values, weights, mask, p), root=True)
 
 
 def overlap_norm_rows(
@@ -247,8 +240,15 @@ def overlap_norm_rows(
     This is the coupling quantity measuring how far f and g are from having
     disjoint supports: it is 0 exactly when fg vanishes identically (p > 0).
     """
+    with backend() as xp:
+        return overlap_rows(xp, f, g, weights, p, mask)
+
+
+def overlap_rows(xp, f, g, weights, p: float, mask=None) -> np.ndarray:
+    """``overlap_norm_rows`` in backend ``xp``."""
     p = _check_exponent(p)
-    return lp_norm_rows(np.asarray(f, dtype=float) * g, weights, p / 2.0, mask)
+    product = np.asarray(f, dtype=float) * g
+    return power_rows(xp, *_checked_rows(product, weights, mask, p / 2.0), root=True)
 
 
 def lp_functional(f: SimpleFunction, space: MeasureSpace, p: float) -> float:

@@ -1,0 +1,105 @@
+"""Independent 50-digit references for the paper's displayed formulas.
+
+Both backends of ``sharplp.precision`` evaluate the same expressions, often
+in a log-domain form chosen to keep doubles in range.  These functions are
+written directly from the displayed formulas in mpmath at 50 digits, not
+through ``SHARPLP_PRECISION``, so they stay a separate check on both.
+"""
+import mpmath
+
+DPS = 50
+
+
+def _mpf(*values):
+    return [mpmath.mpf(v) for v in values]
+
+
+def factor(alpha, p, q=None):
+    """(1 + R^q)^(p-1) (alpha^p + (1-alpha)^p), R = 2 (alpha(1-alpha))^(p/2) / b;
+    q = 2/p unless given."""
+    with mpmath.workdps(DPS):
+        a, p = _mpf(alpha, p)
+        q = 2 / p if q is None else mpmath.mpf(q)
+        b = a ** p + (1 - a) ** p
+        R = 2 * (a * (1 - a)) ** (p / 2) / b
+        return (1 + R ** q) ** (p - 1) * b
+
+
+def power_mean(x, y, q):
+    """((x^q + y^q)/2)^(1/q), the geometric mean at q = 0."""
+    with mpmath.workdps(DPS):
+        x, y, q = _mpf(x, y, q)
+        return mpmath.sqrt(x * y) if q == 0 else ((x ** q + y ** q) / 2) ** (1 / q)
+
+
+def eta(s, p):
+    """((1 + sqrt(s))^p + (1 - sqrt(s))^p) / 2."""
+    with mpmath.workdps(DPS):
+        s, p = _mpf(s, p)
+        return ((1 + mpmath.sqrt(s)) ** p + (1 - mpmath.sqrt(s)) ** p) / 2
+
+
+def gap(s, p):
+    """eta^(1/(p-1)) + (1-s) eta^((2-p)/(p(p-1))) - 2, for p not 0 or 1."""
+    with mpmath.workdps(DPS):
+        e, (s, p) = eta(s, p), _mpf(s, p)
+        return e ** (1 / (p - 1)) + (1 - s) * e ** ((2 - p) / (p * (p - 1))) - 2
+
+
+def g_rp(s, r, p):
+    """eta^(1/(p-1)) (1 + ((1-s)/eta^(2/p))^r) - 2."""
+    with mpmath.workdps(DPS):
+        e, (s, r, p) = eta(s, p), _mpf(s, r, p)
+        return e ** (1 / (p - 1)) * (1 + ((1 - s) / e ** (2 / p)) ** r) - 2
+
+
+def b(a, p):
+    """a^p + (1-a)^p."""
+    with mpmath.workdps(DPS):
+        a, p = _mpf(a, p)
+        return a ** p + (1 - a) ** p
+
+
+def h(a, p):
+    """(a(1-a))^(p/2)."""
+    with mpmath.workdps(DPS):
+        a, p = _mpf(a, p)
+        return (a * (1 - a)) ** (p / 2)
+
+
+def hyperbolic_fields(x, p):
+    """The fields of ``sharplp.audit.HyperbolicPoint`` at x > 0, e^(2x) = a/(1-a)."""
+    with mpmath.workdps(DPS):
+        x, p = _mpf(x, p)
+        sinh_q = mpmath.sinh((p - 1) * x)
+        h = (2 * mpmath.cosh(x)) ** (-p)
+        db = 2 ** (1 - p) * p * sinh_q / mpmath.cosh(x) ** (p + 1)
+        ddx = (
+            mpmath.cosh(x)
+            * ((p - 1) * mpmath.tanh(x) - mpmath.tanh((p - 1) * x))
+            / (2 * sinh_q * mpmath.tanh((p - 1) * x))
+        )
+        return {
+            "a": mpmath.e ** (2 * x) / (1 + mpmath.e ** (2 * x)),
+            "b": 2 * mpmath.cosh(p * x) * h,
+            "h": h,
+            "db_dx": db,
+            "dh_dx": -p * mpmath.tanh(x) * h,
+            "dH_db": -mpmath.sinh(x) / (2 * sinh_q),
+            "ddx_dH_db": ddx,
+            "d2H_db2": ddx / db,
+        }
+
+
+def psi(t, a):
+    """(1+a)^(1+t) - (1+a^2)^t - 2^t a."""
+    with mpmath.workdps(DPS):
+        t, a = _mpf(t, a)
+        return (1 + a) ** (1 + t) - (1 + a * a) ** t - 2 ** t * a
+
+
+def tanh_gap(t, x):
+    """t tanh(x) - tanh(t x)."""
+    with mpmath.workdps(DPS):
+        t, x = _mpf(t, x)
+        return t * mpmath.tanh(x) - mpmath.tanh(t * x)

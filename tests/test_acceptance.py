@@ -7,8 +7,8 @@ not against the window [1.04, 1.08] read off the figure's contour range:
 - p in (0, 1] is the forward region, so the factor is >= 1 on the whole grid;
 - the column maximum M(alpha) = max_p factor falls as alpha grows, so the
   grid max sits on the alpha = alpha_min column;
-- that grid max equals a 50-digit mpmath evaluation of the same formula,
-  computed in the test, at the same (alpha, p);
+- that grid max equals a 50-digit mpmath evaluation of the same formula
+  (``oracle.factor``, written from the formula), at the same (alpha, p);
 - an alpha = 1e-4 column already exceeds the alpha = 0.001 edge.
 
 The last two points are why the window is not asserted: the grid max is the
@@ -21,9 +21,9 @@ range the figure resolves is not recorded here. The grid max and M(0.02)
 import math
 import time
 
-import mpmath
 import numpy as np
 
+import oracle
 from sharplp.audit import ChainContext, audit_chain, chain_eval, curvature
 from sharplp.campaigns import factor_grid, schatten_campaign, verify_campaign
 from sharplp.cli import parse_config, run
@@ -70,21 +70,6 @@ def test_criterion_02_figure2_window():
     )
 
 
-def _factor_mp(alpha: float, p: float) -> mpmath.mpf:
-    """(1 + R^(2/p))^(p-1) * (alpha^p + (1-alpha)^p) at 50 digits.
-
-    R = 2 (alpha (1-alpha))^(p/2) / (alpha^p + (1-alpha)^p), as in
-    ``sharplp.means.constant_factor``. Written from the formula rather than
-    through ``SHARPLP_PRECISION=high``, so it stays an independent reference
-    if that path is rewritten.
-    """
-    with mpmath.workdps(50):
-        a, pm = mpmath.mpf(alpha), mpmath.mpf(p)
-        b = a**pm + (1 - a) ** pm
-        R = 2 * (a * (1 - a)) ** (pm / 2) / b
-        return (1 + R ** (2 / pm)) ** (pm - 1) * b
-
-
 def test_criterion_03_figure3_window():
     t0 = time.perf_counter()
     alphas, ps, values = factor_grid(0.001, 0.5, 0.01, 1.0, 600, 600)
@@ -92,7 +77,7 @@ def test_criterion_03_figure3_window():
     col_max = values.max(axis=0)  # M(alpha), one entry per alpha column
     i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     grid_max = float(values[i, j])
-    exact = _factor_mp(float(alphas[j]), float(ps[i]))
+    exact = oracle.factor(float(alphas[j]), float(ps[i]))
     rel_err = abs(grid_max / float(exact) - 1.0)
     _, _, deeper = factor_grid(1e-4, 1e-4, 0.01, 1.0, 1, 600)
     deeper_max = float(deeper.max())

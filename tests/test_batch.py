@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from sharplp import schatten
 from sharplp.campaigns import (
     MAX_POINTS,
@@ -171,10 +172,10 @@ def test_non_finite_sides_raise(p):
 
 
 def test_factor_grid_matches_high_precision():
+    # against the independent 50-digit formula, not through SHARPLP_PRECISION
     for window in ((0.0, 1.0, 0.25, 4.0, 9, 8), (0.05, 0.95, -3.0, -0.4, 7, 5)):
         alphas, ps, values = factor_grid(*window)
-        with mock.patch.dict(os.environ, HIGH):
-            want = [[float(constant_factor(a, p, 2.0 / p)) for a in alphas] for p in ps]
+        want = [[float(oracle.factor(a, p, 2.0 / p)) for a in alphas] for p in ps]
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
     _, _, values = factor_grid(0.0, 1.0, 0.25, 4.0, 9, 8)
     assert np.all(values[:, 0] == 1.0) and np.all(values[:, -1] == 1.0)

@@ -201,3 +201,33 @@ def test_contour_stdout_matches_out_file(tmp_path, capsys):
     for line in lines[1:]:
         for tok in line.split(","):
             assert f"{float(tok):.17g}" == tok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--points", "1"],
+        ["verify", "--points", "0"],
+        ["verify", "--seed", "-1", "--trials", "2"],
+        ["schatten", "--seed", "-1", "--trials", "2"],
+        ["means", "--seed", "-1"],
+        ["verify", "--p-list", "nan"],
+        ["verify", "--p-list", ","],
+        ["means", "--p-list", "nan"],
+        ["means", "--trials", "0"],
+        ["means", "--trials", "-3"],
+        ["sharpness", "--p-list", "nan"],
+        ["sharpness", "--r", "nan"],
+        ["audit", "--c-grid=nan"],
+        ["audit", "--c", "inf"],
+        ["contour", "--p-max", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_a_usage_error(argv, capsys):
+    # exit 1 means a check failed; bad input is exit 2 with one error line
+    assert run(parse_config(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

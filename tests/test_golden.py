@@ -8,24 +8,36 @@ its ``frozen_from`` field:
 - per exponent row, the exact (fsum) sum and the maximum of ``factor_grid``
   on the acceptance-test windows.
 
+``tests/golden/cli.json`` holds the parsed stdout and the exit code of whole
+command lines, run in both precision modes where the mode matters: ``audit``
+on the default c grid, ``sharpness`` and ``means`` (seeds 0-1),
+``verify --trials 20`` at 50 digits (seeds 0-1), and a 9 x 8 ``contour`` grid
+at 50 digits (its CSV read back as numbers).
+
 Numbers must agree within relative 1e-12, or absolute 1e-14 for fields near
 zero such as ``max_violation``; counts, flags and keys must match exactly.
 Any rewrite of the numeric core is judged against these files.
 
-Refreeze (only from a commit whose outputs are trusted) with
+Refreeze one file (only from a commit whose outputs are trusted) with
 
-    PYTHONPATH=src python tests/test_golden.py <commit>
+    PYTHONPATH=src python tests/test_golden.py <commit> campaigns|cli
 """
+import contextlib
+import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from sharplp.campaigns import factor_grid, schatten_campaign, verify_campaign
+from sharplp.cli import parse_config, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "campaigns.json"
+CLI_GOLDEN = GOLDEN.parent / "cli.json"
 REL_TOL = 1e-12
 ABS_TOL = 1e-14
 
@@ -39,6 +51,44 @@ GRID_WINDOWS = {
     "criterion_03": (0.001, 0.5, 0.01, 1.0, 600, 600),
     "criterion_04": (0.0, 1.0, 1.0, 4.0, 400, 400),
 }
+
+_MULTI_P = "-1.5,0.5,1.5,3,6"
+# name: (SHARPLP_PRECISION, command line)
+CLI_CASES = {
+    "audit_default": ("double", ["audit"]),
+    **{
+        f"{name}_{mode}": (mode, argv)
+        for mode in ("double", "high")
+        for name, argv in {
+            "sharpness_default": ["sharpness"],
+            "sharpness_regions": ["sharpness", "--p-list=" + _MULTI_P, "--r", "0.9"],
+            "means_seed0": ["means", "--seed", "0"],
+            "means_seed1": ["means", "--seed", "1"],
+            "means_seed0_regions": ["means", "--seed", "0", "--p-list=" + _MULTI_P],
+        }.items()
+    },
+    "verify_seed0_high": ("high", ["verify", "--seed", "0", "--trials", "20"]),
+    "verify_seed1_high": ("high", ["verify", "--seed", "1", "--trials", "20"]),
+    "contour_9x8_high": ("high", [
+        "contour", "--alpha-min", "0", "--alpha-max", "1",
+        "--p-min", "0.25", "--p-max", "4", "--na", "9", "--np", "8",
+    ]),
+}
+
+
+def _cli_output(mode: str, argv: list) -> dict:
+    """Exit code and parsed stdout of one command line (CSV rows as numbers)."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"SHARPLP_PRECISION": mode}):
+        with contextlib.redirect_stdout(out):
+            code = run(parse_config(argv))
+    text = out.getvalue()
+    if argv[0] == "contour":
+        lines = text.splitlines()
+        payload = [lines[0]] + [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    else:
+        payload = json.loads(text)
+    return {"exit_code": code, "stdout": payload}
 
 
 def _grid_summary(window) -> dict:
@@ -96,6 +146,13 @@ def test_factor_grid_golden(name):
     assert _diff(got, _golden()["factor_grid"][name]) == []
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden(name):
+    with open(CLI_GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)["cases"][name]
+    assert _diff(_cli_output(*CLI_CASES[name]), want) == []
+
+
 def test_diff_tolerances():
     assert _diff({"a": 1.0, "n": 3}, {"a": 1.0 + 1e-13, "n": 3}) == []
     assert _diff({"a": 1.0}, {"a": 1.0 + 1e-11}) != []
@@ -106,18 +163,30 @@ def test_diff_tolerances():
     assert _diff({"a": 1, "b": 2}, {"b": 2, "a": 1}) != []
 
 
-def freeze(commit: str) -> None:
-    golden = {
+def _freeze_campaigns(commit: str) -> dict:
+    return {
         "frozen_from": commit,
         "verify": {str(s): verify_campaign(seed=s) for s in VERIFY_SEEDS},
         "schatten": {str(s): schatten_campaign(seed=s) for s in SCHATTEN_SEEDS},
         "factor_grid": {name: _grid_summary(w) for name, w in sorted(GRID_WINDOWS.items())},
     }
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
+
+
+def _freeze_cli(commit: str) -> dict:
+    return {
+        "frozen_from": commit,
+        "cases": {name: _cli_output(*case) for name, case in sorted(CLI_CASES.items())},
+    }
+
+
+def freeze(commit: str, which: str) -> None:
+    path, build = {"campaigns": (GOLDEN, _freeze_campaigns), "cli": (CLI_GOLDEN, _freeze_cli)}[which]
+    golden = build(commit)
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1)
         fh.write("\n")
 
 
 if __name__ == "__main__":
-    freeze(sys.argv[1])
+    freeze(*sys.argv[1:3])
