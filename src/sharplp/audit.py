@@ -33,6 +33,7 @@ from .errors import (
     EndpointWithNegativeP,
     ExponentOutOfRange,
     NameRequiresC,
+    NumericRange,
     OutOfDomain,
     SingularPoint,
     TargetOutOfRange,
@@ -50,6 +51,9 @@ _EDGE_GUARD = 1e-3
 _LEFT_FLOOR = 1e-18
 _ZERO_REL = 1e-13
 _BRACKET_WIDTH = 1e-10
+# The chain's coefficients are powers of c up to c^3 (``b_factor``); beyond
+# this |c| they are not doubles.
+_C_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +524,52 @@ def _mp_sign(name: str, c: float, t: float) -> int:
         return _sign_of(_CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t)))
 
 
+def _classify(
+    seq_t: np.ndarray, seq_s: np.ndarray, sign_at: Callable[[float], int]
+) -> SignChangePattern:
+    """The crossings and the overall kind of a sampled sign sequence.
+
+    ``seq_s`` holds the sign (-1, 0 or 1) of each sample at ``seq_t``; a
+    sample at t = 0 stands for the t -> 0+ limit.  Zero samples are skipped,
+    a crossing is a pair of consecutive nonzero samples of opposite sign, and
+    each crossing is bisected with ``sign_at``, from left to right.
+    """
+    idx = np.flatnonzero(seq_s)
+    flips = np.flatnonzero(seq_s[idx[1:]] != seq_s[idx[:-1]])
+    crossings: list[Crossing] = []
+    for i_lo, i_hi in zip(idx[flips].tolist(), idx[flips + 1].tolist()):
+        lo, hi = float(seq_t[i_lo]), float(seq_t[i_hi])
+        s_lo, s_hi = int(seq_s[i_lo]), int(seq_s[i_hi])
+        if lo == 0.0:
+            # flip against the t -> 0+ limit sign: probe down to the floor
+            lo = _LEFT_FLOOR
+            if sign_at(lo) != s_lo:
+                # crossing sits below the probing floor; record it there
+                crossings.append(Crossing(0.0, lo, sign_before=s_lo, sign_after=s_hi))
+                continue
+        while hi - lo > _BRACKET_WIDTH:
+            mid = 0.5 * (lo + hi)
+            if sign_at(mid) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        crossings.append(Crossing(lo, hi, sign_before=s_lo, sign_after=s_hi))
+
+    if idx.size == 0:
+        overall = PatternKind.OTHER
+    elif len(crossings) == 0:
+        overall = PatternKind.POSITIVE if seq_s[idx[0]] > 0 else PatternKind.NEGATIVE
+    elif len(crossings) == 1:
+        overall = (
+            PatternKind.PLUS_TO_MINUS
+            if crossings[0].sign_before > 0
+            else PatternKind.MINUS_TO_PLUS
+        )
+    else:
+        overall = PatternKind.OTHER
+    return SignChangePattern(crossings=tuple(crossings), overall=overall)
+
+
 def sign_changes(
     name: str | Callable[[np.ndarray], np.ndarray],
     ctx: ChainContext,
@@ -532,9 +582,14 @@ def sign_changes(
     that sit in the edge guard bands, are re-evaluated at 50 digits before a
     sign is accepted.  The known t -> 0+ limit sign is prepended so crossings
     below the truncation are still reported (their brackets are refined below
-    delta).  Each detected crossing is bisected to a bracket of width 1e-10.
-    ``name`` may also be a vectorized callable, which is classified from its
-    grid values alone (used for shims in tests).
+    delta).  The grid is classified with array operations: a crossing is a
+    pair of consecutive nonzero samples of opposite sign (zero samples are
+    skipped), and only those pairs reach Python, where each is bisected to a
+    bracket of width 1e-10.  No Python loop runs over the grid's samples
+    except the 50-digit escalations.  ``name`` may also be a vectorized
+    callable, which is classified from its grid values alone (used for shims
+    in tests).  A chain name raises NumericRange when |c| is so large that
+    the chain's coefficients are not doubles.
     """
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")
@@ -544,6 +599,11 @@ def sign_changes(
             raise NameRequiresC(f"unknown chain function {name!r}")
         if name == "h0":
             raise NameRequiresC("h0 is a limit value, not a function of t")
+        if not abs(ctx.c) <= _C_LIMIT:
+            raise NumericRange(
+                f"c = {ctx.c!r}: the chain's coefficients (powers of c up to c^3) "
+                "are not finite in double precision"
+            )
 
     delta = ctx.delta
     t = np.linspace(delta, 1.0 - delta, grid_size)
@@ -573,13 +633,12 @@ def sign_changes(
         raise TooCoarse("adjacent sign-ambiguous samples; refine the grid")
 
     # sample sequence, with the t -> 0+ limit sign prepended for known names
-    seq_t = list(t)
-    seq_s = list(signs)
+    seq_t, seq_s = t, signs
     if not is_callable:
         s0 = _left_limit_sign(name, ctx.c)
         if s0 is not None:
-            seq_t.insert(0, 0.0)
-            seq_s.insert(0, s0)
+            seq_t = np.concatenate(([0.0], t))
+            seq_s = np.concatenate(([s0], signs))
 
     def _sign_at(x: float) -> int:
         if is_callable:
@@ -594,47 +653,7 @@ def sign_changes(
             return _mp_sign(name, ctx.c, x)
         return _sign_of(v)
 
-    crossings: list[Crossing] = []
-    prev_i = None
-    for i in range(len(seq_s)):
-        if seq_s[i] == 0:
-            continue
-        if prev_i is not None and seq_s[i] != seq_s[prev_i]:
-            lo, hi = float(seq_t[prev_i]), float(seq_t[i])
-            s_lo, s_hi = int(seq_s[prev_i]), int(seq_s[i])
-            if lo == 0.0:
-                # flip against the t -> 0+ limit sign: probe down to the floor
-                lo = _LEFT_FLOOR
-                if _sign_at(lo) != s_lo:
-                    # crossing sits below the probing floor; record it there
-                    crossings.append(
-                        Crossing(0.0, lo, sign_before=s_lo, sign_after=s_hi)
-                    )
-                    prev_i = i
-                    continue
-            while hi - lo > _BRACKET_WIDTH:
-                mid = 0.5 * (lo + hi)
-                if _sign_at(mid) == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            crossings.append(Crossing(lo, hi, sign_before=s_lo, sign_after=s_hi))
-        prev_i = i
-
-    nonzero = [s for s in seq_s if s != 0]
-    if not nonzero:
-        overall = PatternKind.OTHER
-    elif len(crossings) == 0:
-        overall = PatternKind.POSITIVE if nonzero[0] > 0 else PatternKind.NEGATIVE
-    elif len(crossings) == 1:
-        overall = (
-            PatternKind.PLUS_TO_MINUS
-            if crossings[0].sign_before > 0
-            else PatternKind.MINUS_TO_PLUS
-        )
-    else:
-        overall = PatternKind.OTHER
-    return SignChangePattern(crossings=tuple(crossings), overall=overall)
+    return _classify(seq_t, seq_s, _sign_at)
 
 
 # ---------------------------------------------------------------------------

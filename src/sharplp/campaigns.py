@@ -21,7 +21,8 @@ import numpy as np
 from .inequality import main_sides_batch
 from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
 from .measure import MeasureSpace, SimpleFunction
-from .precision import backend
+from .errors import NumericRange
+from .precision import backend, require_finite
 from .schatten import lieb_thirring_stack, random_psd_stack, schatten_verify_stack
 
 FORWARD_PS = (0.3, 0.7, 2.5, 3.0, 4.5, 9.0)
@@ -238,12 +239,16 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p must hold in the region's direction
     within relative 1e-9.  The mode of ``SHARPLP_PRECISION`` is read once,
     and under ``high`` every step, the checks included, runs at 50 digits.
+    In doubles, a side that is not finite, or two sides that both underflow
+    to 0, raise NumericRange.
     """
     rng = np.random.default_rng(seed)
     failures, max_gap = 0, 0.0
     example = example_sides = None
     with backend() as xp:
         for p in ps:
+            # p - 1 is formed in the backend: in doubles p - 1.0 == p for |p| >= 2^53
+            pv = xp.asarray(p)
             for _ in range(trials):
                 x, y = _positive_uniform(rng.random(2))
                 if p > 2.0:
@@ -261,14 +266,21 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
                 m1 = _power_mean(xp, x, y, 1.0)
                 mp_ = _power_mean(xp, x, y, p)
                 mmp = _power_mean(xp, x, y, -p)
-                lhs = m1 ** p
-                rhs = ((mp_ + mmp) / 2.0) ** (p - 1.0) * mp_
+                with np.errstate(over="ignore"):  # a double overflows to inf
+                    lhs = xp.asarray(m1) ** pv
+                    rhs = xp.asarray((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_
+                require_finite(p, lhs=lhs, rhs=rhs)
+                scale = max(abs(lhs), abs(rhs))
+                if scale == 0.0:
+                    raise NumericRange(
+                        f"both sides at exponent {p!r} underflow to 0 in double precision"
+                    )
                 if example_sides is None:
                     example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
-                gap = (lhs - rhs) / max(abs(lhs), abs(rhs))
+                gap = (lhs - rhs) / scale
                 v = gap if 0.0 < p <= 1.0 or p >= 2.0 else -gap  # > 0: wrong direction
                 max_gap = max(max_gap, v)
-                failures += v > 1e-9
+                failures += bool(v > 1e-9)
     return {
         "seed": seed,
         "trials": trials,

@@ -258,6 +258,13 @@ def _run_audit(config: CommandConfig) -> int:
     for c in cs:
         if c in (0.0, 0.5, 1.0):
             raise UsageError(f"c = {c} is excluded from the pattern claims")
+        p = 1.0 / c  # the p rule applies to c = 1/p
+        try:
+            if not math.isfinite(p):
+                raise UsageError("p = 1/c is not finite")
+            _check_p_value(p)
+        except UsageError as exc:
+            raise UsageError(f"c = {c!r}: {exc}") from None
     reports = [audit_chain(ChainContext.from_c(c), o["points"]) for c in cs]
     payload = [_chain_report_to_dict(r) for r in reports]
     _write_output(_json_text(payload), config.out_path)

@@ -133,7 +133,7 @@ def main_sides_batch(
     g, _, _ = check_stack(g, weights, mask)
     _validate_pair(f[mask], g[mask], p)
     with backend() as xp:
-        lhs = power_rows(xp, f + g, weights, mask, p)
+        lhs = power_rows(xp, xp.asarray(f) + xp.asarray(g), weights, mask, p)
         F = power_rows(xp, f, weights, mask, p)
         G = power_rows(xp, g, weights, mask, p)
         S = F + G
@@ -141,15 +141,16 @@ def main_sides_batch(
             raise ZeroNorm("f and g cannot both vanish identically")
         ov = overlap_rows(xp, f, g, weights, p, mask)
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma_tilde = ov * (S / 2.0) ** (-2.0 / p)
-            rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+            pv = xp.asarray(p)  # exponents formed in the backend, too
+            gamma_tilde = ov * (S / 2.0) ** (-2.0 / pv)
+            rhs = (1.0 + gamma_tilde) ** (pv - 1.0) * S
 
             both = (F > 0.0) & (G > 0.0)
             gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
             carbery_rhs = gamma.copy()
             norm = lambda h: power_rows(xp, h[both], weights[both], mask[both], p, root=True)
             gamma[both] = ov[both] / (norm(f) * norm(g))
-            carbery_rhs[both] = (1.0 + gamma[both]) ** (p - 1.0) * S[both]
+            carbery_rhs[both] = (1.0 + gamma[both]) ** (pv - 1.0) * S[both]
     require_finite(
         p, rhs=rhs, gamma_tilde=gamma_tilde,
         gamma=gamma[both], carbery_rhs=carbery_rhs[both],

@@ -247,8 +247,10 @@ def overlap_norm_rows(
 def overlap_rows(xp, f, g, weights, p: float, mask=None) -> np.ndarray:
     """``overlap_norm_rows`` in backend ``xp``."""
     p = _check_exponent(p)
-    product = np.asarray(f, dtype=float) * g
-    return power_rows(xp, *_checked_rows(product, weights, mask, p / 2.0), root=True)
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    _, weights, mask, half = _checked_rows(f * g, weights, mask, p / 2.0)
+    # the product is checked in doubles and formed in the backend
+    return power_rows(xp, xp.asarray(f) * xp.asarray(g), weights, mask, half, root=True)
 
 
 def lp_functional(f: SimpleFunction, space: MeasureSpace, p: float) -> float:

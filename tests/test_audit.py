@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sharplp import audit
 from sharplp.audit import (
+    CHAIN_NAMES,
     ChainContext,
+    Crossing,
     PatternKind,
     audit_chain,
     b_of_a,
@@ -23,6 +28,7 @@ from sharplp.errors import (
     EndpointWithNegativeP,
     ExponentOutOfRange,
     NameRequiresC,
+    NumericRange,
     SingularPoint,
     TargetOutOfRange,
     TooCoarse,
@@ -335,3 +341,109 @@ def test_high_precision_chain_eval(monkeypatch):
     high = chain_eval("v", ctx, 0.37)
     assert isinstance(high, mpmath.mpf)
     assert float(high) == pytest.approx(low, rel=1e-12)
+
+
+def _reference_classify(seq_t, seq_s, sign_at):
+    """The scan ``audit._classify`` replaced: a walk over the samples as Python
+    lists, kept as its reference."""
+    seq_t, seq_s = list(seq_t), list(seq_s)
+    crossings = []
+    prev_i = None
+    for i in range(len(seq_s)):
+        if seq_s[i] == 0:
+            continue
+        if prev_i is not None and seq_s[i] != seq_s[prev_i]:
+            lo, hi = float(seq_t[prev_i]), float(seq_t[i])
+            s_lo, s_hi = int(seq_s[prev_i]), int(seq_s[i])
+            if lo == 0.0:
+                lo = audit._LEFT_FLOOR
+                if sign_at(lo) != s_lo:
+                    crossings.append(Crossing(0.0, lo, sign_before=s_lo, sign_after=s_hi))
+                    prev_i = i
+                    continue
+            while hi - lo > audit._BRACKET_WIDTH:
+                mid = 0.5 * (lo + hi)
+                if sign_at(mid) == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            crossings.append(Crossing(lo, hi, sign_before=s_lo, sign_after=s_hi))
+        prev_i = i
+
+    nonzero = [s for s in seq_s if s != 0]
+    if not nonzero:
+        overall = PatternKind.OTHER
+    elif len(crossings) == 0:
+        overall = PatternKind.POSITIVE if nonzero[0] > 0 else PatternKind.NEGATIVE
+    elif len(crossings) == 1:
+        overall = (
+            PatternKind.PLUS_TO_MINUS
+            if crossings[0].sign_before > 0
+            else PatternKind.MINUS_TO_PLUS
+        )
+    else:
+        overall = PatternKind.OTHER
+    return audit.SignChangePattern(crossings=tuple(crossings), overall=overall)
+
+
+@st.composite
+def _sign_sequences(draw):
+    """(seq_t, seq_s) of a grid whose zero signs are isolated, with or
+    without a t -> 0+ limit sign in front (which may itself be 0)."""
+    signs = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=60))
+    for i in range(1, len(signs)):
+        if signs[i] == signs[i - 1] == 0:
+            signs[i] = draw(st.sampled_from((-1, 1)))
+    seq_t = np.linspace(1e-6, 1.0 - 1e-6, len(signs))
+    seq_s = np.array(signs)
+    limit = draw(st.sampled_from((None, -1, 0, 1)))
+    if limit is not None:
+        seq_t = np.concatenate(([0.0], seq_t))
+        seq_s = np.concatenate(([limit], seq_s))
+    return seq_t, seq_s
+
+
+def _recording_sign_at(salt):
+    """A deterministic sign of x that logs every probe."""
+    calls = []
+
+    def sign_at(x):
+        calls.append(x)
+        return 1 if (int(x * 2.0 ** 60) ^ salt) % 3 else -1
+
+    return sign_at, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=_sign_sequences(), salt=st.integers(0, 2 ** 16))
+def test_classify_matches_reference_scan(seq, salt):
+    seq_t, seq_s = seq
+    sign_at, calls = _recording_sign_at(salt)
+    got = audit._classify(seq_t, seq_s, sign_at)
+    ref_sign_at, ref_calls = _recording_sign_at(salt)
+    want = _reference_classify(seq_t, seq_s, ref_sign_at)
+    assert got == want
+    # the same brackets are bisected with the same probes, in the same order
+    assert calls == ref_calls
+
+
+# one c per claim region: c < 0, (0, 1/2), (1/2, 1), (1, 2), c > 2
+@pytest.mark.parametrize("c", [-1.0, 0.3, 0.7, 1.3, 3.5])
+def test_sign_changes_matches_reference_scan(c, monkeypatch):
+    ctx = ChainContext.from_c(c)
+    names = [n for n in CHAIN_NAMES if n != "h0"]
+    shims = [lambda t: t - 0.5, lambda t: np.sin(5.0 * np.pi * t), lambda t: (t - 0.5) ** 3]
+    got = [sign_changes(name, ctx, 1000) for name in names + shims]
+    monkeypatch.setattr(audit, "_classify", _reference_classify)
+    assert got == [sign_changes(name, ctx, 1000) for name in names + shims]
+
+
+@pytest.mark.parametrize("c", [1e300, -1e300, 1e200])
+def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
+    # the coefficients reach c^3; no grid is evaluated, let alone escalated
+    def no_escalation(*args):
+        raise AssertionError("a sample was sent to 50 digits")
+
+    monkeypatch.setattr(audit, "_mp_sign", no_escalation)
+    with pytest.raises(NumericRange):
+        audit_chain(ChainContext.from_c(c))

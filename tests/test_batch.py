@@ -320,6 +320,15 @@ def test_schatten_campaign_matches_pair_loop():
     assert summary["instances_checked"] == trials * len(ps) * len(dims)
 
 
+def test_high_precision_verify_is_fifty_digits_throughout():
+    # f + g, fg and the exponents p - 1 and -2/p are formed at 50 digits, so
+    # the equality pairs agree far below double roundoff (2.7e-16 otherwise)
+    with mock.patch.dict(os.environ, HIGH):
+        summary = verify_campaign(seed=0, trials=20)
+    assert summary["passed"]
+    assert summary["max_violation"] < 1e-40
+
+
 def test_campaigns_with_no_trials():
     summary = verify_campaign(seed=2, trials=0)
     assert summary["instances_checked"] == 12 and summary["passed"]

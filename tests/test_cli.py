@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sharplp.cli import CommandConfig, parse_config, run
+from sharplp.cli import CommandConfig, main, parse_config, run
 
 
 def _run(argv, tmp_path, name="out"):
@@ -231,3 +231,29 @@ def test_bad_input_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--c", "1e300"],
+        ["audit", "--c", "1e200"],
+        ["audit", "--c=-1e9"],
+        ["audit", "--c", "0.5000000001"],
+        ["audit", "--c", "1e-320"],
+        ["audit", "--c-grid=0.3,1e300"],
+        ["means", "--p-list=1e20", "--trials", "2"],
+        ["means", "--p-list=-1e20", "--trials", "2"],
+    ],
+    ids=" ".join,
+)
+def test_exponent_out_of_range_exits_2(argv, capsys):
+    # through the entry point: exit 2 with one error line, never a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.err

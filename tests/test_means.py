@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharplp.campaigns import means_campaign
 from sharplp.errors import (
     EndpointWithNegativeP,
     ExponentOutOfRange,
@@ -201,3 +202,11 @@ def test_sharpness_probe_no_witness_at_natural_power():
         assert abs(res.slope_measured) < 1e-6
     with pytest.raises(ExponentOutOfRange):
         sharpness_probe(2.0, 1.1)
+
+
+def test_means_campaign_forms_p_minus_1_at_50_digits(monkeypatch):
+    # in doubles p - 1.0 == p for |p| >= 2^53; with that exponent the second
+    # draw of seed 0 at p = -1e20 failed its check with a gap of 0.48
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    summary = means_campaign(seed=0, trials=2, ps=(-1e20, -1e17))
+    assert summary["passed"] and summary["failures"] == 0
