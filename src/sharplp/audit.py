@@ -268,9 +268,9 @@ class ChainContext:
         if self.c == 0.0 or self.p == 0.0:
             raise ZeroExponent("c = 1/p requires a nonzero exponent")
         if not math.isclose(self.c * self.p, 1.0, rel_tol=1e-12):
-            raise ValueError("ChainContext requires c = 1/p")
+            raise ExponentOutOfRange("ChainContext requires finite c and p with c = 1/p")
         if not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
+            raise DomainError("delta must lie in (0, 1/2)")
 
     @classmethod
     def from_c(cls, c: float, delta: float = DEFAULT_DELTA) -> "ChainContext":
@@ -481,8 +481,8 @@ class SignChangePattern:
     overall: PatternKind
 
 
-def _left_limit_sign(name: str, c: float) -> int | None:
-    """Sign of the t -> 0+ limit, from the chain's stated asymptotics.
+def _left_limit_sign(name: str, c: float) -> int:
+    """Sign of the t -> 0+ limit from the chain's stated asymptotics; 0 if none.
 
     Needed because a crossing can fall below the truncated scan interval (for
     small c the g/h crossing sits at astronomically small t).
@@ -511,7 +511,16 @@ def _left_limit_sign(name: str, c: float) -> int | None:
         return _sign_of(2.0 * c * c - 7.0 * c + 6.0)
     if name == "b_factor":
         return 1  # 2(2c-3) t^(2-c) dominates for c > 2
-    return None
+    return 0
+
+
+def _right_limit_sign(name: str, c: float) -> int:
+    """Sign of the t -> 1- limit (0 where not derived): the sign of the leading
+    Taylor term in s = 1 - t, (c-1)^2 (2c-1) s for q_factor and u, 2c times
+    that for v'', and c (c-1)^2 (2c-1) s^3 / 3 for v.  Needed because for large
+    c the v'' crossing, near t = 1 - 1.6/c, falls above the scan interval."""
+    lead = {"q_factor": 1.0, "u": 1.0, "v": c, "v_dprime": c}.get(name, 0.0)
+    return _sign_of(lead * (c - 1.0) ** 2 * (2.0 * c - 1.0))
 
 
 def _sign_of(x: float) -> int:
@@ -530,7 +539,8 @@ def _classify(
     """The crossings and the overall kind of a sampled sign sequence.
 
     ``seq_s`` holds the sign (-1, 0 or 1) of each sample at ``seq_t``; a
-    sample at t = 0 stands for the t -> 0+ limit.  Zero samples are skipped,
+    sample at t = 0 stands for the t -> 0+ limit, one at t = 1 for the
+    t -> 1- limit (never evaluated there).  Zero samples are skipped,
     a crossing is a pair of consecutive nonzero samples of opposite sign, and
     each crossing is bisected with ``sign_at``, from left to right.
     """
@@ -570,48 +580,38 @@ def _classify(
     return SignChangePattern(crossings=tuple(crossings), overall=overall)
 
 
-def sign_changes(
-    name: str | Callable[[np.ndarray], np.ndarray],
-    ctx: ChainContext,
-    grid_size: int,
-) -> SignChangePattern:
+def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta) is scanned in double precision.
     Samples whose magnitude falls under 1e-13 of the local 5-sample scale, or
     that sit in the edge guard bands, are re-evaluated at 50 digits before a
-    sign is accepted.  The known t -> 0+ limit sign is prepended so crossings
-    below the truncation are still reported (their brackets are refined below
-    delta).  The grid is classified with array operations: a crossing is a
-    pair of consecutive nonzero samples of opposite sign (zero samples are
-    skipped), and only those pairs reach Python, where each is bisected to a
-    bracket of width 1e-10.  No Python loop runs over the grid's samples
-    except the 50-digit escalations.  ``name`` may also be a vectorized
-    callable, which is classified from its grid values alone (used for shims
-    in tests).  A chain name raises NumericRange when |c| is so large that
-    the chain's coefficients are not doubles.
+    sign is accepted.  The known t -> 0+ and t -> 1- limit signs are added at
+    either end, so crossings in the truncated bands are still reported
+    (their brackets are refined below delta and above 1 - delta).  The grid
+    is classified with array operations: a crossing is a pair of consecutive
+    nonzero samples of opposite sign (zero samples are skipped), and only
+    those pairs reach Python, where each is bisected to a bracket of width
+    1e-10.  No Python loop runs over the grid's samples except the 50-digit
+    escalations.  Raises NumericRange when |c| is so large that the chain's
+    coefficients are not doubles.
     """
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")
-    is_callable = callable(name)
-    if not is_callable:
-        if name not in CHAIN_NAMES:
-            raise NameRequiresC(f"unknown chain function {name!r}")
-        if name == "h0":
-            raise NameRequiresC("h0 is a limit value, not a function of t")
-        if not abs(ctx.c) <= _C_LIMIT:
-            raise NumericRange(
-                f"c = {ctx.c!r}: the chain's coefficients (powers of c up to c^3) "
-                "are not finite in double precision"
-            )
+    if name not in CHAIN_NAMES:
+        raise NameRequiresC(f"unknown chain function {name!r}")
+    if name == "h0":
+        raise NameRequiresC("h0 is a limit value, not a function of t")
+    if not abs(ctx.c) <= _C_LIMIT:
+        raise NumericRange(
+            f"c = {ctx.c!r}: the chain's coefficients (powers of c up to c^3) "
+            "are not finite in double precision"
+        )
 
     delta = ctx.delta
     t = np.linspace(delta, 1.0 - delta, grid_size)
     with np.errstate(all="ignore"):
-        if is_callable:
-            vals = np.asarray(name(t), dtype=float)
-        else:
-            vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, ctx.c, t), dtype=float)
+        vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, ctx.c, t), dtype=float)
 
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
@@ -620,29 +620,22 @@ def sign_changes(
     ambiguous = np.isnan(vals) | (finite & (absvals <= _ZERO_REL * local))
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
-    if not is_callable:
-        needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-        for i in np.nonzero(needs_mp)[0]:
-            signs[i] = _mp_sign(name, ctx.c, float(t[i]))
-    else:
-        signs[ambiguous] = 0
+    needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
+    for i in np.nonzero(needs_mp)[0]:
+        signs[i] = _mp_sign(name, ctx.c, float(t[i]))
 
     # adjacent unresolved samples defeat classification
     zero = signs == 0
     if np.any(zero[:-1] & zero[1:]):
         raise TooCoarse("adjacent sign-ambiguous samples; refine the grid")
 
-    # sample sequence, with the t -> 0+ limit sign prepended for known names
-    seq_t, seq_s = t, signs
-    if not is_callable:
-        s0 = _left_limit_sign(name, ctx.c)
-        if s0 is not None:
-            seq_t = np.concatenate(([0.0], t))
-            seq_s = np.concatenate(([s0], signs))
+    # the limit signs at t = 0 and t = 1 frame the samples; an unknown one is 0,
+    # which classification skips
+    seq_t = np.concatenate(([0.0], t, [1.0]))
+    s0, s1 = _left_limit_sign(name, ctx.c), _right_limit_sign(name, ctx.c)
+    seq_s = np.concatenate(([s0], signs, [s1]))
 
     def _sign_at(x: float) -> int:
-        if is_callable:
-            return _sign_of(float(name(np.asarray([x]))[0]))
         with np.errstate(all="ignore"):
             v = float(_CHAIN_FLOAT[name](FLOAT, ctx.c, FLOAT.asarray(x)))
         if (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .inequality import main_sides_batch
 from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
-from .measure import MeasureSpace, SimpleFunction
+from .measure import SLACK, MeasureSpace, SimpleFunction, forward_region, relative_violation
 from .errors import NumericRange
 from .precision import backend, require_finite
 from .schatten import lieb_thirring_stack, random_psd_stack, schatten_verify_stack
@@ -35,6 +35,10 @@ MEANS_TRIALS = 100
 SCHATTEN_PS = (2.0, 4.0, 8.0, 16.0)
 SCHATTEN_DIMS = (2, 3, 4, 5, 6)
 SCHATTEN_TRIALS = 500
+
+# Relative tolerances of the dominance check (p >= 2) and the trace identity
+DOMINANCE_SLACK = 1e-12
+IDENTITY_SLACK = 1e-12
 
 
 def _positive_uniform(u: np.ndarray) -> np.ndarray:
@@ -89,26 +93,19 @@ def _equality_instances(
     return f, g, np.stack([w, w])
 
 
-def _relative_violation(lhs: np.ndarray, rhs: np.ndarray, forward: bool) -> np.ndarray:
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    return np.asarray(((lhs - rhs) if forward else (rhs - lhs)) / scale, dtype=float)
-
-
 def verify_campaign(
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
     forward_ps=FORWARD_PS,
     reverse_ps=REVERSE_PS,
     max_points: int = MAX_POINTS,
-    slack: float = 1e-9,
-    dominance_slack: float = 1e-12,
 ) -> dict:
     """Randomized two-sided campaign over both exponent regions.
 
-    Checks, per instance: the region-correct direction within relative slack;
-    domination of the classical interpolation bound for p >= 2; and the exact
-    equality cases (equal pair, disjoint pair) at every forward exponent.
-    Returns a JSON-ready summary with per-region failure counts.
+    Checks, per instance: the region-correct direction and the exact
+    equality cases (equal pair, disjoint pair) at every forward exponent, by
+    ``measure.relative_violation``; and domination of the classical bound for
+    p >= 2 within relative DOMINANCE_SLACK.  Returns a JSON-ready summary.
 
     The ``trials`` instances of each exponent are drawn into one stack, in
     the order the random stream has always been consumed (the instances of
@@ -126,23 +123,21 @@ def verify_campaign(
             f, g, w, mask = _draw_stack(rng, trials, max_points)
             sides = main_sides_batch(f, g, w, p, mask)
             checked += trials
-            v = _relative_violation(sides.lhs, sides.rhs, forward=region == "forward")
+            v = relative_violation(sides.lhs, sides.rhs, forward=region == "forward")
             max_violation = max(max_violation, float(v.max(initial=0.0)))
-            per_region_failures[region] += int(np.count_nonzero(v > slack))
+            per_region_failures[region] += int(np.count_nonzero(v > SLACK))
             if region == "forward" and p >= 2.0:
                 # NaN where gamma is undefined compares False: no check there
-                dominated = sides.rhs > sides.carbery_rhs * (1.0 + dominance_slack)
+                dominated = sides.rhs > sides.carbery_rhs * (1.0 + DOMINANCE_SLACK)
                 per_region_failures["dominance"] += int(np.count_nonzero(dominated))
 
     for p in forward_ps:
         f, g, w = _equality_instances(rng, max_points)
         sides = main_sides_batch(f, g, w, p)
         checked += 2
-        gap = np.asarray(
-            np.abs(sides.lhs - sides.rhs) / np.maximum(sides.lhs, sides.rhs), dtype=float
-        )
+        gap = np.abs(relative_violation(sides.lhs, sides.rhs, forward=True))
         max_violation = max(max_violation, float(gap.max(initial=0.0)))
-        per_region_failures["equality"] += int(np.count_nonzero(gap > slack))
+        per_region_failures["equality"] += int(np.count_nonzero(gap > SLACK))
 
     return {
         "seed": seed,
@@ -161,14 +156,12 @@ def schatten_campaign(
     trials: int = SCHATTEN_TRIALS,
     ps=SCHATTEN_PS,
     dims=SCHATTEN_DIMS,
-    slack: float = 1e-9,
-    identity_slack: float = 1e-12,
 ) -> dict:
     """Seeded trials of the trace bound and the rearrangement link.
 
-    For every (p, dim) pair, random PSD pairs are drawn deterministically and
-    the bound, the rearrangement inequality, and the p = 2 identity are
-    checked within their tolerances.
+    For every (p, dim) pair, random PSD pairs are drawn deterministically;
+    the bound and the rearrangement inequality are checked by
+    ``measure.relative_violation``, the p = 2 identity within IDENTITY_SLACK.
 
     Matrix seeds depend on (seed, dim, trial) only, so each dimension's
     ``trials`` pairs are built once, as (trials, dim, dim) stacks with their
@@ -184,16 +177,15 @@ def schatten_campaign(
         for p in ps:
             rep = schatten_verify_stack(A, B, p)
             checked += trials
-            v = (rep.lhs - rep.rhs) / np.maximum(rep.lhs, rep.rhs)
+            v = relative_violation(rep.lhs, rep.rhs, forward=True)
             max_violation = max(max_violation, float(v.max(initial=0.0)))
-            failures["bound"] += int(np.count_nonzero(v > slack))
+            failures["bound"] += int(np.count_nonzero(v > SLACK))
             if p == 2.0:
-                off = np.abs(rep.lhs - rep.rhs) > identity_slack * rep.lhs
+                off = np.abs(v) > IDENTITY_SLACK
                 failures["identity_p2"] += int(np.count_nonzero(off))
-            lt_lhs, lt_rhs = lieb_thirring_stack(A, B, p)
-            lt_v = (lt_lhs - lt_rhs) / np.maximum(np.maximum(lt_lhs, lt_rhs), 1e-300)
+            lt_v = relative_violation(*lieb_thirring_stack(A, B, p), forward=True)
             max_violation = max(max_violation, float(lt_v.max(initial=0.0)))
-            failures["rearrangement"] += int(np.count_nonzero(lt_v > slack))
+            failures["rearrangement"] += int(np.count_nonzero(lt_v > SLACK))
     return {
         "seed": seed,
         "trials": trials,
@@ -236,8 +228,8 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     For each p, ``trials`` pairs (x, y) uniform on (0, 2] are drawn.  For
     p > 2 the four terms of ``agm_chain`` must be non-increasing and
     nonnegative within 1e-12.  For every p the power-mean form
-    M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p must hold in the region's direction
-    within relative 1e-9.  The mode of ``SHARPLP_PRECISION`` is read once,
+    M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p must hold by the rule of
+    ``measure.relative_violation``.  The mode of ``SHARPLP_PRECISION`` is read once,
     and under ``high`` every step, the checks included, runs at 50 digits.
     In doubles, a side that is not finite, or two sides that both underflow
     to 0, raise NumericRange.
@@ -270,17 +262,15 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
                     lhs = xp.asarray(m1) ** pv
                     rhs = xp.asarray((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_
                 require_finite(p, lhs=lhs, rhs=rhs)
-                scale = max(abs(lhs), abs(rhs))
-                if scale == 0.0:
+                if lhs == 0.0 and rhs == 0.0:
                     raise NumericRange(
                         f"both sides at exponent {p!r} underflow to 0 in double precision"
                     )
                 if example_sides is None:
                     example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
-                gap = (lhs - rhs) / scale
-                v = gap if 0.0 < p <= 1.0 or p >= 2.0 else -gap  # > 0: wrong direction
+                v = relative_violation(lhs, rhs, forward_region(p))
                 max_gap = max(max_gap, v)
-                failures += bool(v > 1e-9)
+                failures += bool(v > SLACK)
     return {
         "seed": seed,
         "trials": trials,

@@ -21,6 +21,7 @@ import numpy as np
 from . import campaigns
 from .audit import ChainContext, ChainReport, audit_chain
 from .errors import SharpLpError
+from .measure import forward_region
 from .precision import active_mode
 
 # c values swept by default in `audit`; they cover every claim range of the
@@ -233,8 +234,8 @@ def _run_verify(config: CommandConfig) -> int:
         forward, reverse = campaigns.FORWARD_PS, campaigns.REVERSE_PS
     else:
         ps = [_check_p_value(p) for p in _parse_float_list(o["p_list"])]
-        forward = [p for p in ps if 0.0 < p <= 1.0 or p >= 2.0]
-        reverse = [p for p in ps if p < 0.0 or 1.0 < p < 2.0]
+        forward = [p for p in ps if forward_region(p)]
+        reverse = [p for p in ps if not forward_region(p)]
     summary = campaigns.verify_campaign(
         o["seed"], o["trials"], tuple(forward), tuple(reverse), o["points"]
     )
@@ -313,10 +314,6 @@ def run(config: CommandConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         active_mode()  # validate the precision switch before any work
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if config.command != "contour" and config.format == "csv":
             raise UsageError(f"{config.command} output is JSON only")
         _check_finite_options(config.options)

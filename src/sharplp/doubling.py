@@ -15,10 +15,16 @@ import numpy as np
 
 from .errors import ExponentOutOfRange, NegativeInput, SharpLpError, ZeroPair
 from .inequality import InequalityReport, main_sides
-from .measure import MeasureSpace, SimpleFunction, lp_functional, lp_norm
+from .measure import (
+    SLACK,
+    MeasureSpace,
+    SimpleFunction,
+    forward_region,
+    lp_functional,
+    lp_norm,
+    relative_violation,
+)
 from .precision import backend, require_finite
-
-_CHECK_SLACK = 1e-9
 
 
 class InequalityViolation(SharpLpError):
@@ -73,18 +79,24 @@ def psi(t_param: float, alpha: float) -> float:
     return value
 
 
-def _link(name: str, lhs: float, rhs: float, direction: str) -> DoublingLink:
-    tol = _CHECK_SLACK * max(abs(lhs), abs(rhs), 1e-300)
-    if direction == "<=":
-        ok = lhs <= rhs + tol
-        slack = rhs - lhs
-    else:
-        ok = lhs >= rhs - tol
-        slack = lhs - rhs
+def check_link(name: str, lhs: float, rhs: float, forward: bool = True) -> DoublingLink:
+    """One link of a doubling chain: lhs <= rhs, or lhs >= rhs where not
+    ``forward``, decided by ``measure.relative_violation`` within SLACK."""
     return DoublingLink(
         name=name, lhs=float(lhs), rhs=float(rhs),
-        direction=direction, slack=float(slack), satisfied=bool(ok),
+        direction="<=" if forward else ">=",
+        slack=float(rhs - lhs if forward else lhs - rhs),
+        satisfied=bool(relative_violation(lhs, rhs, forward) <= SLACK),
     )
+
+
+def psi_link(p: float, gamma: float, forward: bool = True) -> DoublingLink:
+    """The scalar-lemma link 2^(1/p) (1+gamma^2)^(1-1/p) + 2 gamma <= the final
+    bound 2^(1/p) (1+gamma)^(2-1/p); rhs - lhs = 2^(1/p) psi_{1-1/p}(gamma)."""
+    root2 = 2.0 ** (1.0 / p)
+    middle = root2 * (1.0 + gamma ** 2) ** (1.0 - 1.0 / p) + 2.0 * gamma
+    final_bound = root2 * (1.0 + gamma) ** (2.0 - 1.0 / p)
+    return check_link("psi", middle, final_bound, forward)
 
 
 def _normalized(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float):
@@ -124,8 +136,8 @@ def direct_p4(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace) -> P4Re
         bound_minkowski=float(bound_minkowski), bound_final=float(bound_final),
         identity_gap=float(identity_gap),
     )
-    tol = _CHECK_SLACK * max(lhs, bound_final)
-    if lhs > bound_minkowski + tol or bound_minkowski > bound_final + tol:
+    chain = ((lhs, bound_minkowski), (bound_minkowski, bound_final))
+    if any(relative_violation(a, b, forward=True) > SLACK for a, b in chain):
         raise InequalityViolation(f"fourth-power chain failed: {report}")
     if alpha > 1.0 + 1e-12 or beta > 2.0 + 1e-12:
         raise InequalityViolation(f"normalized overlap out of range: {report}")
@@ -152,7 +164,7 @@ def doubling_step(
         raise ExponentOutOfRange("doubling applies for p >= 2 or p < 0")
     if np.any(f.values < 0.0) or np.any(g.values < 0.0):
         raise NegativeInput("f and g must be nonnegative")
-    forward = p >= 2.0
+    forward = forward_region(p)
 
     fn, gn = _normalized(f, g, space, 2.0 * p)
     X = SimpleFunction(fn.values * gn.values)
@@ -161,26 +173,20 @@ def doubling_step(
     beta = lp_norm(Y, space, p)
     lhs_2p = lp_norm(SimpleFunction(fn.values + gn.values), space, 2.0 * p) ** 2
 
-    d1 = "<=" if forward else ">="
-    link_triangle = _link("triangle", lhs_2p, beta + 2.0 * gamma, d1)
-
     level_p = main_sides(
         SimpleFunction(fn.values ** 2), SimpleFunction(gn.values ** 2), space, p
     )
-    link_level_p = _link("level_p", level_p.lhs, level_p.rhs, d1)
-
-    middle = 2.0 ** (1.0 / p) * (1.0 + gamma ** 2) ** (1.0 - 1.0 / p) + 2.0 * gamma
-    final_bound = 2.0 ** (1.0 / p) * (1.0 + gamma) ** (2.0 - 1.0 / p)
-    link_psi = _link("psi", middle, final_bound, d1)
-
-    level_2p = main_sides(fn, gn, space, 2.0 * p)
-
+    links = (
+        check_link("triangle", lhs_2p, beta + 2.0 * gamma, forward),
+        check_link("level_p", level_p.lhs, level_p.rhs, forward),
+        psi_link(p, gamma, forward),
+    )
     return DoublingReport(
         p=p,
         gamma=float(gamma),
         beta=float(beta),
         lhs_2p=float(lhs_2p),
-        final_bound=float(final_bound),
-        links=(link_triangle, link_level_p, link_psi),
-        level_2p=level_2p,
+        final_bound=links[-1].rhs,
+        links=links,
+        level_2p=main_sides(fn, gn, space, 2.0 * p),
     )

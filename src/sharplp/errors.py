@@ -9,10 +9,23 @@ class SharpLpError(ValueError):
     """Base class for all toolkit errors."""
 
 
+class UnknownPrecisionMode(SharpLpError):
+    """SHARPLP_PRECISION names no evaluation mode."""
+
+
+class BadShape(SharpLpError):
+    """An input array does not have the shape the operation expects."""
+
+
 # -- measure / norm layer -----------------------------------------------------
 
 class MisalignedFunction(SharpLpError):
     """Function values and measure weights have different lengths."""
+
+
+class InvalidInstance(SharpLpError):
+    """An instance has no point, a mass that is not positive and finite, or a
+    value that is not finite."""
 
 
 class NonpositiveValueForNegativeP(SharpLpError):

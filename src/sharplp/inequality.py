@@ -34,17 +34,18 @@ from .errors import (
     ZeroSumPoint,
 )
 from .measure import (
+    SLACK,
     ExponentRegion,
     MeasureSpace,
     RegionKind,
     SimpleFunction,
     check_stack,
+    forward_region,
     overlap_rows,
     power_rows,
+    relative_violation,
 )
 from .precision import backend, require_finite
-
-RELATIVE_SLACK = 1e-9
 
 
 class EqualityKind(enum.Enum):
@@ -195,16 +196,10 @@ def main_sides(
     carbery_rhs = None if math.isnan(gamma) else sides.carbery_rhs.item(0)
 
     region = ExponentRegion.from_p(p)
-    tol = RELATIVE_SLACK * max(abs(lhs), abs(rhs))
-    if region.region is RegionKind.FORWARD:
-        satisfied = lhs <= rhs + tol
-        slack = rhs - lhs
-    elif region.region is RegionKind.REVERSE:
-        satisfied = lhs >= rhs - tol
-        slack = lhs - rhs
-    else:  # p = 1 or p = 2: identities
-        satisfied = abs(lhs - rhs) <= tol
-        slack = rhs - lhs
+    forward = forward_region(p)
+    violation = relative_violation(lhs, rhs, forward)
+    if region.region in (RegionKind.BOUNDARY_P1, RegionKind.BOUNDARY_P2):
+        violation = abs(violation)  # identities: either direction fails
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
@@ -212,8 +207,8 @@ def main_sides(
         gamma=gamma,
         gamma_tilde=sides.gamma_tilde.item(0),
         region=region,
-        satisfied=bool(satisfied),
-        slack=slack,
+        satisfied=bool(violation <= SLACK),
+        slack=rhs - lhs if forward else lhs - rhs,
     )
 
 

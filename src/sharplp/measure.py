@@ -12,6 +12,9 @@ marking the points of each row.  The scalar functions wrap them with one row.
 ``power_rows`` is the one formula for both backends of ``precision``: the sum
 of w |v|^p over the masked entries of each row, in doubles or at 50 digits;
 only doubles switch to per-term logs above |p| = 8, to stay in range.
+
+Every check of the toolkit passes when ``relative_violation`` of its two
+sides, in the direction ``forward_region`` gives, is at most ``SLACK``.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadShape,
+    InvalidInstance,
     MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
@@ -34,11 +39,14 @@ from .precision import FLOAT, backend, require_finite
 # stays finite for |p| up to several hundred on double precision.
 LOG_DOMAIN_THRESHOLD = 8.0
 
+# Relative slack of every verdict: roundoff below it is not a violation.
+SLACK = 1e-9
+
 
 def _as_readonly(values: Sequence[float]) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional sequence of reals")
+        raise BadShape("expected a one-dimensional sequence of reals")
     arr.setflags(write=False)
     return arr
 
@@ -50,10 +58,7 @@ class MeasureSpace:
 
     def __init__(self, weights: Sequence[float]):
         arr = _as_readonly(weights)
-        if arr.size < 1:
-            raise ValueError("a measure space needs at least one point")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("all point masses must be strictly positive and finite")
+        check_stack(np.zeros((1, arr.size)), arr[None])  # the checks of one row
         self.weights = arr
 
     def __len__(self) -> int:
@@ -74,7 +79,7 @@ class SimpleFunction:
     def __init__(self, values: Sequence[float]):
         arr = _as_readonly(values)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
+            raise InvalidInstance("function values must be finite")
         self.values = arr
 
     def __len__(self) -> int:
@@ -82,6 +87,24 @@ class SimpleFunction:
 
     def __repr__(self) -> str:
         return f"SimpleFunction({self.values.tolist()!r})"
+
+
+def forward_region(p: float) -> bool:
+    """True where the bound reads lhs <= rhs, p in (0, 1] or [2, inf) (the
+    identities p = 1, 2 included); False where it reverses, p < 0 or 1 < p < 2."""
+    return 0.0 < p <= 1.0 or p >= 2.0
+
+
+def relative_violation(lhs, rhs, forward: bool):
+    """(lhs - rhs) / max(lhs, rhs, 1e-300), or (rhs - lhs) / ... where not
+    ``forward``, as doubles, elementwise: > 0 is the wrong direction, and a
+    check passes when it is at most SLACK (in absolute value for an identity).
+
+    Every side checked is >= 0, so no abs() is taken: outside the 50-digit
+    context mpmath's abs would round an mpf side to 53 bits.
+    """
+    scale = np.maximum(np.maximum(lhs, rhs), 1e-300)
+    return np.asarray(((lhs - rhs) if forward else (rhs - lhs)) / scale, dtype=float)[()]
 
 
 class RegionKind(enum.Enum):
@@ -108,7 +131,7 @@ class ExponentRegion:
             kind = RegionKind.BOUNDARY_P1
         elif p == 2.0:
             kind = RegionKind.BOUNDARY_P2
-        elif 0.0 < p < 1.0 or p > 2.0:
+        elif forward_region(p):
             kind = RegionKind.FORWARD
         else:
             kind = RegionKind.REVERSE
@@ -150,7 +173,7 @@ def check_stack(
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 2:
-        raise ValueError("expected an (instances, points) stack of values")
+        raise BadShape("expected an (instances, points) stack of values")
     mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if weights.shape != values.shape or mask.shape != values.shape:
         raise MisalignedFunction(
@@ -158,12 +181,12 @@ def check_stack(
             f"{mask.shape} must have one shape"
         )
     if not mask.any(axis=1).all():
-        raise ValueError("a measure space needs at least one point")
+        raise InvalidInstance("a measure space needs at least one point")
     w = weights[mask]
     if not (np.isfinite(w) & (w > 0.0)).all():
-        raise ValueError("all point masses must be strictly positive and finite")
+        raise InvalidInstance("all point masses must be strictly positive and finite")
     if not np.isfinite(values[mask]).all():
-        raise ValueError("function values must be finite")
+        raise InvalidInstance("function values must be finite")
     return values, weights, mask
 
 

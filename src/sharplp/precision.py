@@ -28,7 +28,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 
-from .errors import NumericRange
+from .errors import NumericRange, UnknownPrecisionMode
 
 PRECISION_ENV = "SHARPLP_PRECISION"
 HIGH_DPS = 50
@@ -40,7 +40,7 @@ def active_mode() -> str:
     """Return the current evaluation mode, validating the environment variable."""
     mode = os.environ.get(PRECISION_ENV, "double")
     if mode not in _VALID_MODES:
-        raise ValueError(
+        raise UnknownPrecisionMode(
             f"{PRECISION_ENV} must be one of {_VALID_MODES}, got {mode!r}"
         )
     return mode

@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
+from .doubling import DoublingLink, check_link, psi_link
+from .errors import BadShape, DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
+from .measure import SLACK, relative_violation
 from .precision import require_finite
 
 MAX_DIM = 64
 _HERMITIAN_TOL = 1e-12
 _EIGEN_CLAMP_TOL = 1e-10
-_SLACK = 1e-9
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -51,7 +52,7 @@ class PSDStack:
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("entries must form a stack of square matrices")
+            raise BadShape("entries must form a stack of square matrices")
         if arr.shape[1] < 1:
             raise DimOutOfRange("dimension must be at least 1")
         herm = (arr + _adjoint(arr)) / 2.0
@@ -97,7 +98,7 @@ class PSDMatrix:
     def __init__(self, entries: Sequence[Sequence[complex]] | np.ndarray):
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must form a square matrix")
+            raise BadShape("entries must form a square matrix")
         self.stack = PSDStack(arr[None])
 
     @classmethod
@@ -138,15 +139,6 @@ class SchattenReport:
 
 
 @dataclass(frozen=True)
-class SchattenLink:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class SchattenDoublingReport:
     p: float
     gamma: float
@@ -154,7 +146,7 @@ class SchattenDoublingReport:
     lhs_2p: float
     final_bound: float
     final_bound_power_p: float
-    links: tuple[SchattenLink, ...]
+    links: tuple[DoublingLink, ...]
 
     @property
     def all_links_hold(self) -> bool:
@@ -216,7 +208,7 @@ def _real_traces(M: np.ndarray) -> np.ndarray:
 
 def _check_pair(A: PSDStack, B: PSDStack) -> None:
     if A.entries.shape != B.entries.shape:
-        raise ValueError(
+        raise BadShape(
             f"dimension mismatch: stacks of shape {A.entries.shape} and {B.entries.shape}"
         )
 
@@ -291,14 +283,13 @@ def schatten_verify(
     p = float(p)
     rep = schatten_verify_stack(A.stack, B.stack, p, allow_unproven)
     lhs, rhs = float(rep.lhs[0]), float(rep.rhs[0])
-    tol = _SLACK * max(lhs, rhs)
     return SchattenReport(
         lhs=lhs,
         rhs=rhs,
         mixed=float(rep.mixed[0]),
         gamma_tilde=float(rep.gamma_tilde[0]),
         p=p,
-        satisfied=bool(lhs <= rhs + tol),
+        satisfied=bool(relative_violation(lhs, rhs, forward=True) <= SLACK),
         slack=float(rhs - lhs),
         conjectural=not _is_power_of_two_exponent(p),
     )
@@ -345,8 +336,7 @@ def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingR
     p = float(p)
     if not _is_power_of_two_exponent(p):
         raise UnsupportedExponent("doubling is established only for p = 2^k")
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
+    _check_pair(A.stack, B.stack)
     s = float(
         (np.sum(A.eigenvalues() ** (2 * p)) + np.sum(B.eigenvalues() ** (2 * p))) / 2.0
     ) ** (1.0 / (2.0 * p))
@@ -371,31 +361,22 @@ def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingR
     beta = norm_Y
 
     level_p = schatten_verify(PSDMatrix(Am @ Am), PSDMatrix(Bm @ Bm), p)
-
-    middle = 2.0 ** (1.0 / p) * (1.0 + gamma ** 2) ** (1.0 - 1.0 / p) + 2.0 * gamma
-    final_bound = 2.0 ** (1.0 / p) * (1.0 + gamma) ** (2.0 - 1.0 / p)
-
-    def link(name: str, lhs: float, rhs: float) -> SchattenLink:
-        tol = _SLACK * max(abs(lhs), abs(rhs), 1e-300)
-        return SchattenLink(
-            name=name, lhs=float(lhs), rhs=float(rhs),
-            slack=float(rhs - lhs), satisfied=bool(lhs <= rhs + tol),
-        )
+    link_psi = psi_link(p, gamma)
 
     links = (
-        link("triangle", lhs_2p, norm_Y + 2.0 * norm_X),
-        link("symmetrized_product", norm_X, norm_AB),
-        link("trace_rearrangement", lt_lhs, lt_rhs),
-        link("level_p", level_p.lhs, level_p.rhs),
-        link("psi", middle, final_bound),
-        link("overall", lhs_2p, final_bound),
+        check_link("triangle", lhs_2p, norm_Y + 2.0 * norm_X),
+        check_link("symmetrized_product", norm_X, norm_AB),
+        check_link("trace_rearrangement", lt_lhs, lt_rhs),
+        check_link("level_p", level_p.lhs, level_p.rhs),
+        link_psi,
+        check_link("overall", lhs_2p, link_psi.rhs),
     )
     return SchattenDoublingReport(
         p=p,
         gamma=float(gamma),
         beta=float(beta),
         lhs_2p=float(lhs_2p),
-        final_bound=float(final_bound),
+        final_bound=link_psi.rhs,
         final_bound_power_p=float(2.0 * (1.0 + gamma) ** (2.0 * p - 1.0)),
         links=links,
     )

@@ -258,17 +258,16 @@ def test_fraction_lemma():
             assert fraction_bound(ctx, float(t)) > 1.0
 
 
-def test_sign_changes_shim():
+def test_sign_changes_rejects_coarse_grid():
     ctx = ChainContext.from_c(0.3)
-    pattern = sign_changes(lambda t: t - 0.5, ctx, 2000)
-    assert pattern.overall is PatternKind.MINUS_TO_PLUS
-    assert len(pattern.crossings) == 1
+    pattern = sign_changes("v_dprime", ctx, 2000)
+    assert pattern.overall is PatternKind.PLUS_TO_MINUS
     lo, hi = pattern.crossings[0].bracket_lo, pattern.crossings[0].bracket_hi
-    assert hi - lo <= 1e-10
-    assert lo <= 0.5 <= hi + 1e-10
+    assert 0.0 < hi - lo <= 1e-10
+    assert chain_eval("v_dprime", ctx, lo) > 0.0 > chain_eval("v_dprime", ctx, hi)
 
     with pytest.raises(TooCoarse):
-        sign_changes(lambda t: t - 0.5, ctx, 500)
+        sign_changes("v_dprime", ctx, 500)
 
 
 def test_sign_changes_chain_examples():
@@ -287,6 +286,30 @@ def test_sign_changes_finds_crossing_below_truncation():
     pattern = sign_changes("g", ChainContext.from_c(0.05), 2000)
     assert pattern.overall is PatternKind.MINUS_TO_PLUS
     assert pattern.crossings[0].bracket_hi <= 1e-6
+
+
+@pytest.mark.parametrize("c", [1e7, 5e8])
+def test_sign_changes_finds_crossing_above_truncation(c):
+    # for large c the v'' crossing sits near t = 1 - 1.6/c, inside the
+    # truncated band (1 - delta, 1); the t -> 1- limit sign must still report it
+    ctx = ChainContext.from_c(c)
+    pattern = sign_changes("v_dprime", ctx, 1000)
+    assert pattern.overall is PatternKind.MINUS_TO_PLUS
+    (crossing,) = pattern.crossings
+    assert 1.0 - ctx.delta <= crossing.bracket_lo < crossing.bracket_hi <= 1.0
+    assert 1.5 <= c * (1.0 - crossing.bracket_hi) <= 1.7
+    assert audit._right_limit_sign("v_dprime", c) == 1
+
+
+def test_right_limit_signs_match_fifty_digits():
+    # the leading Taylor terms at t = 1 against the functions just below 1
+    for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 3.5, 8.0):
+        for name in ("v", "v_dprime", "q_factor", "u"):
+            want = audit._right_limit_sign(name, c)
+            assert want == audit._mp_sign(name, c, 1.0 - 1e-9), (name, c)
+    assert audit._right_limit_sign("v_dprime", 1.0) == 0
+    assert audit._right_limit_sign("v_dprime", 0.5) == 0
+    assert audit._right_limit_sign("g", 3.0) == 0
 
 
 def test_expected_patterns_table():
@@ -432,10 +455,9 @@ def test_classify_matches_reference_scan(seq, salt):
 def test_sign_changes_matches_reference_scan(c, monkeypatch):
     ctx = ChainContext.from_c(c)
     names = [n for n in CHAIN_NAMES if n != "h0"]
-    shims = [lambda t: t - 0.5, lambda t: np.sin(5.0 * np.pi * t), lambda t: (t - 0.5) ** 3]
-    got = [sign_changes(name, ctx, 1000) for name in names + shims]
+    got = [sign_changes(name, ctx, 1000) for name in names]
     monkeypatch.setattr(audit, "_classify", _reference_classify)
-    assert got == [sign_changes(name, ctx, 1000) for name in names + shims]
+    assert got == [sign_changes(name, ctx, 1000) for name in names]
 
 
 @pytest.mark.parametrize("c", [1e300, -1e300, 1e200])

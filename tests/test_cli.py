@@ -103,6 +103,24 @@ def test_audit_single_c(tmp_path):
         assert entry["match"] is True
 
 
+def test_audit_large_c_matches(tmp_path):
+    # the v'' crossing sits in the truncated band (1 - 1e-6, 1) at c = 1e7:
+    # it is a found crossing, not a failed check
+    code, out = _run(["audit", "--c", "1e7", "--points", "1000"], tmp_path, "audit.json")
+    assert code == 0
+    (rep,) = json.loads(out.read_text(encoding="utf-8"))
+    entry = rep["patterns"]["v_dprime"]
+    assert entry["observed"]["overall"] == "minus_to_plus" and entry["match"] is True
+
+
+def test_bad_precision_mode_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SHARPLP_PRECISION", "quad")
+    assert run(parse_config(["means", "--trials", "2"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SHARPLP_PRECISION must be one of")
+
+
 def test_audit_rejects_special_c(tmp_path, capsys):
     config = parse_config(["audit", "--c", "0.5"])
     assert run(config) == 2

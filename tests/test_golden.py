@@ -146,6 +146,24 @@ def test_factor_grid_golden(name):
     assert _diff(got, _golden()["factor_grid"][name]) == []
 
 
+# repr of the 50-digit `verify --trials 20` max_violation, frozen from commit
+# 0fc502a.  The golden tolerance (absolute 1e-14) cannot see a change in the
+# last bit, such as rounding max(|lhs|, |rhs|) to 53 bits before dividing.
+HIGH_VERIFY_MAX_VIOLATION = {
+    0: "2.561473848461974e-51",
+    1: "2.1879252965891623e-51",
+    2: "2.9555857153994695e-51",
+    3: "4.2710054282360534e-51",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HIGH_VERIFY_MAX_VIOLATION))
+def test_high_precision_max_violation_is_bit_exact(seed):
+    with mock.patch.dict(os.environ, {"SHARPLP_PRECISION": "high"}):
+        summary = verify_campaign(seed=seed, trials=20)
+    assert repr(summary["max_violation"]) == HIGH_VERIFY_MAX_VIOLATION[seed]
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_golden(name):
     with open(CLI_GOLDEN, encoding="utf-8") as fh:
