@@ -109,7 +109,7 @@ def _validate_pair(f: np.ndarray, g: np.ndarray, p: float) -> None:
         raise ZeroExponent("p = 0 is not admissible")
     if (f < 0.0).any() or (g < 0.0).any():
         raise NegativeInput("f and g must be nonnegative")
-    if (p < 0.0 or 1.0 < p < 2.0) and ((f == 0.0).any() or (g == 0.0).any()):
+    if not forward_region(p) and ((f == 0.0).any() or (g == 0.0).any()):
         raise NonpositiveValueForNegativeP(
             "p < 0 and the reverse range 1 < p < 2 require strictly positive values"
         )
