@@ -16,7 +16,8 @@ against the claimed ones.
 
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
-at 50 digits on mpf, which is how ``sign_changes`` escalates a sample.
+at 50 digits on mpf, scalars or object arrays, which is how ``sign_changes``
+escalates its samples.
 """
 from __future__ import annotations
 
@@ -51,9 +52,10 @@ _EDGE_GUARD = 1e-3
 _LEFT_FLOOR = 1e-18
 _ZERO_REL = 1e-13
 _BRACKET_WIDTH = 1e-10
-# The chain's coefficients are powers of c up to c^3 (``b_factor``); beyond
-# this |c| they are not doubles.
-_C_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
+# From here on p = 1/c is within 1e-9 of 0, which the command line rejects
+# too: t^c underflows or overflows on the whole double grid, so every sample
+# would go to 50 digits.
+_C_MAX = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +535,19 @@ def _mp_sign(name: str, c: float, t: float) -> int:
         return _sign_of(_CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t)))
 
 
+def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
+    """The chain function at 50 digits on the samples ``t``, as one object
+    array of mpf, each entry the value ``_mp_sign`` takes the sign of.
+
+    c is a one-entry array, so every operation is array with array: an mpf
+    left of an object array first fails to convert it, and the failure
+    formats the whole array at 50 digits.
+    """
+    with mp_workdps() as xp:
+        cv = np.array([xp.asarray(c)], dtype=object)
+        return _CHAIN_FLOAT[name](xp, cv, xp.asarray(t))
+
+
 def _classify(
     seq_t: np.ndarray, seq_s: np.ndarray, sign_at: Callable[[float], int]
 ) -> SignChangePattern:
@@ -592,9 +607,11 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     is classified with array operations: a crossing is a pair of consecutive
     nonzero samples of opposite sign (zero samples are skipped), and only
     those pairs reach Python, where each is bisected to a bracket of width
-    1e-10.  No Python loop runs over the grid's samples except the 50-digit
-    escalations.  Raises NumericRange when |c| is so large that the chain's
-    coefficients are not doubles.
+    1e-10.  The escalated samples are evaluated together, as one 50-digit
+    object array; only the bisection probes go to 50 digits one at a time.
+    No Python loop runs over the grid's samples.  Raises NumericRange for
+    |c| >= 1e9 (p = 1/c within 1e-9 of 0), where t^c is not a usable double
+    anywhere on the grid.
     """
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")
@@ -602,10 +619,10 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
         raise NameRequiresC(f"unknown chain function {name!r}")
     if name == "h0":
         raise NameRequiresC("h0 is a limit value, not a function of t")
-    if not abs(ctx.c) <= _C_LIMIT:
+    if abs(ctx.c) >= _C_MAX:
         raise NumericRange(
-            f"c = {ctx.c!r}: the chain's coefficients (powers of c up to c^3) "
-            "are not finite in double precision"
+            f"c = {ctx.c!r}: |c| >= 1e9 puts p = 1/c within 1e-9 of 0, where "
+            "t^c is not a usable double on the grid"
         )
 
     delta = ctx.delta
@@ -621,8 +638,8 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    for i in np.nonzero(needs_mp)[0]:
-        signs[i] = _mp_sign(name, ctx.c, float(t[i]))
+    mp_vals = _mp_chain(name, ctx.c, t[needs_mp])
+    signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
     # adjacent unresolved samples defeat classification
     zero = signs == 0

@@ -21,7 +21,7 @@ import numpy as np
 from .inequality import main_sides_batch
 from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
 from .measure import SLACK, MeasureSpace, SimpleFunction, forward_region, relative_violation
-from .errors import NumericRange
+from .errors import InvalidDraw, NumericRange
 from .precision import backend, require_finite
 from .schatten import lieb_thirring_stack, random_psd_stack, schatten_verify_stack
 
@@ -39,6 +39,15 @@ SCHATTEN_TRIALS = 500
 # Relative tolerances of the dominance check (p >= 2) and the trace identity
 DOMINANCE_SLACK = 1e-12
 IDENTITY_SLACK = 1e-12
+
+
+def _check_draws(seed: int, trials: int) -> None:
+    """A campaign needs a seed numpy accepts and at least one trial, so that
+    it never passes on zero instances."""
+    if seed < 0:
+        raise InvalidDraw(f"seed must be non-negative, got {seed}")
+    if trials < 1:
+        raise InvalidDraw(f"trials must be positive, got {trials}")
 
 
 def _positive_uniform(u: np.ndarray) -> np.ndarray:
@@ -113,6 +122,10 @@ def verify_campaign(
     pair per forward exponent), and evaluated by one ``main_sides_batch``
     call.
     """
+    _check_draws(seed, trials)
+    if max_points < 2:
+        # each equality pair has one point in each support
+        raise InvalidDraw(f"max_points must be at least 2, got {max_points}")
     rng = np.random.default_rng(seed)
     per_region_failures = {"forward": 0, "reverse": 0, "dominance": 0, "equality": 0}
     max_violation = 0.0
@@ -167,6 +180,7 @@ def schatten_campaign(
     ``trials`` pairs are built once, as (trials, dim, dim) stacks with their
     eigendecompositions, and every exponent is evaluated on those stacks.
     """
+    _check_draws(seed, trials)
     failures = {"bound": 0, "rearrangement": 0, "identity_p2": 0}
     max_violation = 0.0
     checked = 0
@@ -234,6 +248,7 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     In doubles, a side that is not finite, or two sides that both underflow
     to 0, raise NumericRange.
     """
+    _check_draws(seed, trials)
     rng = np.random.default_rng(seed)
     failures, max_gap = 0, 0.0
     example = example_sides = None

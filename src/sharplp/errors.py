@@ -66,6 +66,11 @@ class OutOfRangeAlpha(SharpLpError):
     """A ratio value lies outside the admissible range."""
 
 
+class InvalidDraw(SharpLpError):
+    """A seeded draw got a negative seed, no trials, or too few points per
+    instance."""
+
+
 # -- scalar means / factor layer ----------------------------------------------
 
 class NonpositiveArgument(SharpLpError):

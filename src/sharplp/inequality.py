@@ -149,8 +149,10 @@ def main_sides_batch(
             both = (F > 0.0) & (G > 0.0)
             gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
             carbery_rhs = gamma.copy()
-            norm = lambda h: power_rows(xp, h[both], weights[both], mask[both], p, root=True)
-            gamma[both] = ov[both] / (norm(f) * norm(g))
+            # the norms are the 1/p-th roots of the functionals (in doubles
+            # above |p| = 8 they may differ from power_rows' roots in the last bit)
+            root = 1.0 / pv
+            gamma[both] = ov[both] / (F[both] ** root * G[both] ** root)
             carbery_rhs[both] = (1.0 + gamma[both]) ** (pv - 1.0) * S[both]
     require_finite(
         p, rhs=rhs, gamma_tilde=gamma_tilde,

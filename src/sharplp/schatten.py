@@ -24,7 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from .doubling import DoublingLink, check_link, psi_link
-from .errors import BadShape, DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
+from .errors import (
+    BadShape,
+    DimOutOfRange,
+    ExponentOutOfRange,
+    InvalidDraw,
+    NotPSD,
+    UnsupportedExponent,
+)
 from .measure import SLACK, relative_violation
 from .precision import require_finite
 
@@ -170,6 +177,8 @@ def random_psd_stack(dim: int, seeds: Sequence[int]) -> PSDStack:
         raise DimOutOfRange(f"dim must lie in [1, {MAX_DIM}], got {dim}")
     G = np.empty((len(seeds), dim, dim), dtype=complex)
     for k, seed in enumerate(seeds):
+        if seed < 0:
+            raise InvalidDraw(f"matrix seeds must be non-negative, got {seed}")
         rng = np.random.default_rng([dim, seed])
         G[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     G /= math.sqrt(2.0)

@@ -23,6 +23,7 @@ from sharplp.audit import (
     sign_changes,
     tanh_gap,
 )
+from sharplp.cli import DEFAULT_C_GRID
 from sharplp.errors import (
     DomainError,
     EndpointWithNegativeP,
@@ -33,6 +34,7 @@ from sharplp.errors import (
     TargetOutOfRange,
     TooCoarse,
 )
+from sharplp.precision import mp_workdps
 
 A_STAR = 0.8535533905932737622  # (2 + sqrt 2)/4, where a(1-a) = 1/8
 
@@ -460,12 +462,30 @@ def test_sign_changes_matches_reference_scan(c, monkeypatch):
     assert got == [sign_changes(name, ctx, 1000) for name in names]
 
 
-@pytest.mark.parametrize("c", [1e300, -1e300, 1e200])
+@pytest.mark.parametrize("c", [1e300, -1e300, 1e200, 1e100, 1e9, -1e9])
 def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
-    # the coefficients reach c^3; no grid is evaluated, let alone escalated
+    # |c| >= 1e9 (p = 1/c within 1e-9 of 0): no grid is evaluated, let alone
+    # escalated, neither sample by sample nor as one array
     def no_escalation(*args):
         raise AssertionError("a sample was sent to 50 digits")
 
     monkeypatch.setattr(audit, "_mp_sign", no_escalation)
+    monkeypatch.setattr(audit, "_mp_chain", no_escalation)
     with pytest.raises(NumericRange):
         audit_chain(ChainContext.from_c(c))
+
+
+# the audit's default c grid, and large |c| where the double grid is NaN-heavy
+@pytest.mark.parametrize("c", list(DEFAULT_C_GRID) + [1e3, 1e6, -1e6])
+def test_batched_escalation_equals_scalar_path(c):
+    t = np.linspace(audit.DEFAULT_DELTA, 1.0 - audit.DEFAULT_DELTA, 10_000)
+    t = t[(t <= audit._EDGE_GUARD) | (t >= 1.0 - audit._EDGE_GUARD)]
+    assert t.size == 20
+    for name, formula in audit._CHAIN_FLOAT.items():
+        batched = audit._mp_chain(name, c, t)
+        with mp_workdps() as xp:
+            scalar = [formula(xp, xp.asarray(c), xp.asarray(x)) for x in t.tolist()]
+        # _mpf_ is the exact binary value, NaN included
+        assert [v._mpf_ for v in batched] == [v._mpf_ for v in scalar], (name, c)
+        signs = [audit._sign_of(v) for v in batched]
+        assert signs == [audit._mp_sign(name, c, x) for x in t.tolist()], (name, c)

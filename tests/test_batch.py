@@ -13,8 +13,10 @@ import oracle
 from sharplp import schatten
 from sharplp.campaigns import (
     MAX_POINTS,
+    _draw_stack,
     _equality_instances,
     factor_grid,
+    means_campaign,
     random_instance,
     schatten_campaign,
     verify_campaign,
@@ -23,6 +25,7 @@ from sharplp.errors import (
     DimOutOfRange,
     EndpointWithNegativeP,
     ExponentOutOfRange,
+    InvalidDraw,
     NegativeInput,
     NonpositiveValueForNegativeP,
     NotPSD,
@@ -34,7 +37,15 @@ from sharplp.errors import (
 )
 from sharplp.inequality import main_sides, main_sides_batch
 from sharplp.means import constant_factor, constant_factors
-from sharplp.measure import MeasureSpace, SimpleFunction, lp_functional_rows
+from sharplp.measure import (
+    MeasureSpace,
+    SimpleFunction,
+    forward_region,
+    lp_functional_rows,
+    overlap_rows,
+    power_rows,
+)
+from sharplp.precision import backend
 from sharplp.schatten import (
     PSDStack,
     lieb_thirring_check,
@@ -330,7 +341,46 @@ def test_high_precision_verify_is_fifty_digits_throughout():
 
 
 def test_campaigns_with_no_trials():
-    summary = verify_campaign(seed=2, trials=0)
-    assert summary["instances_checked"] == 12 and summary["passed"]
-    summary = schatten_campaign(seed=2, trials=0)
-    assert summary["instances_checked"] == 0 and summary["max_violation"] == 0.0
+    # a campaign on zero instances would pass without checking anything
+    for campaign in (verify_campaign, schatten_campaign, means_campaign):
+        with pytest.raises(InvalidDraw):
+            campaign(seed=2, trials=0)
+
+
+def _two_pass_gamma(f, g, w, mask, p, both):
+    """gamma as main_sides_batch formed it before it reused its functionals:
+    two more power_rows passes, for the norms of f and g."""
+    with backend() as xp:
+        ov = overlap_rows(xp, f, g, w, p, mask)
+        norm = lambda h: power_rows(xp, h[both], w[both], mask[both], p, root=True)
+        return ov[both] / (norm(f) * norm(g))
+
+
+def _gamma_rows(p):
+    f, g, w, mask = _draw_stack(np.random.default_rng(7), 40, MAX_POINTS)
+    if forward_region(p):
+        f[0] = 0.0  # gamma is NaN on a row where f vanishes
+    gamma = main_sides_batch(f, g, w, p, mask).gamma
+    both = np.array([not math.isnan(x) for x in gamma])
+    assert both.sum() == 40 - forward_region(p)
+    return gamma[both], _two_pass_gamma(f, g, w, mask, p, both)
+
+
+@pytest.mark.parametrize("p", [-8.0, -3.0, -0.7, 0.3, 0.7, 1.2, 1.8, 2.5, 3.0, 4.5, 8.0])
+def test_gamma_equals_two_pass_norms_in_doubles(p):
+    got, want = _gamma_rows(p)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [-12.0, 9.0, 14.0])
+def test_gamma_near_two_pass_norms_in_the_log_domain(p):
+    # above |p| = 8 a root of the functional may move in the last bit
+    got, want = _gamma_rows(p)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [-12.0, -3.0, 0.7, 1.8, 3.0, 9.0])
+def test_gamma_equals_two_pass_norms_at_fifty_digits(p):
+    with mock.patch.dict(os.environ, HIGH):
+        got, want = _gamma_rows(p)
+    assert [x._mpf_ for x in got] == [x._mpf_ for x in want]

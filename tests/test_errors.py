@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sharplp.audit import ChainContext
+from sharplp.campaigns import means_campaign, schatten_campaign, verify_campaign
 from sharplp.errors import SharpLpError
 from sharplp.measure import MeasureSpace, SimpleFunction, check_stack
 from sharplp.precision import active_mode
@@ -51,6 +52,12 @@ BAD_INPUTS = {
         random_psd(2, 0), random_psd(3, 1), 4.0
     ),
     "precision_mode": _bad_mode,
+    "verify_seed": lambda: verify_campaign(seed=-1),
+    "verify_no_trials": lambda: verify_campaign(trials=0),
+    "verify_one_point": lambda: verify_campaign(max_points=1),
+    "means_seed": lambda: means_campaign(seed=-1),
+    "schatten_seed": lambda: schatten_campaign(seed=-1),
+    "psd_seed": lambda: random_psd(2, -1),
 }
 
 
