@@ -752,5 +752,10 @@ def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
 
     t = np.linspace(ctx.delta, 1.0 - ctx.delta, grid_size)
     with np.errstate(all="ignore"):
-        fraction_min = float(np.nanmin(_fraction(c, t)))
+        fraction = _fraction(c, t)
+        # for large negative c, t^c overflows: divide through by t^c there
+        lost = ~np.isfinite(fraction)
+        tl = t[lost]
+        fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
+        fraction_min = float(np.nanmin(fraction))
     return ChainReport(c, patterns, extras, fraction_min, bool(fraction_min > 1.0 - 1e-12))

@@ -10,9 +10,13 @@ call per instance: ``verify_campaign`` draws the instances of one exponent
 into zero-padded (trials, max_points) arrays with a point mask and evaluates
 them with one ``main_sides_batch`` call; ``schatten_campaign`` builds each
 dimension's PSD pairs once, as (trials, d, d) stacks, and evaluates every
-exponent on them; ``factor_grid`` is one array evaluation.  The random draws
-are made in the same order as one instance at a time, so every seed keeps
-its meaning.
+exponent on them; ``factor_grid`` is one array evaluation.
+
+The draws are not made one numpy call per instance either, yet every seed
+keeps its meaning: ``_draw_stack`` reads the PCG64 words that the calls of
+``random_instance`` would read, by numpy's own rules, and leaves the
+generator where they would leave it; ``random_psd_stack`` computes the PCG64
+states of all its per-matrix generators at once.
 """
 from __future__ import annotations
 
@@ -55,36 +59,79 @@ def _positive_uniform(u: np.ndarray) -> np.ndarray:
     return 2.0 * (1.0 - u)
 
 
-def _draw_stack(
-    rng: np.random.Generator, trials: int, max_points: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(f, g, w, mask) of ``trials`` random instances, zero-padded to max_points.
-
-    Per instance the draws are: the point count n in [1, max_points], then n
-    values of f, n of g and n weights, each uniform on (0, 2].
-    """
-    counts = np.empty(trials, dtype=np.intp)
-    chunks = []
-    for t in range(trials):
-        n = int(rng.integers(1, max_points + 1))
-        counts[t] = n
-        chunks.append(rng.random(3 * n))  # the same stream as three draws of n
-    u = _positive_uniform(np.concatenate(chunks)) if chunks else np.empty(0)
-    mask = np.arange(max_points) < counts[:, None]
-    first = (np.cumsum(3 * counts) - 3 * counts)[:, None] + np.arange(max_points)
-    f, g, w = np.zeros((3, trials, max_points))
-    for k, arr in enumerate((f, g, w)):
-        arr[mask] = u[(first + k * counts[:, None])[mask]]
-    return f, g, w, mask
-
-
 def random_instance(
     rng: np.random.Generator, max_points: int = MAX_POINTS
 ) -> tuple[SimpleFunction, SimpleFunction, MeasureSpace]:
-    """One random instance, drawn as one row of the campaign's stacks."""
-    f, g, w, mask = _draw_stack(rng, 1, max_points)
-    n = int(mask.sum())
-    return SimpleFunction(f[0, :n]), SimpleFunction(g[0, :n]), MeasureSpace(w[0, :n])
+    """One random instance: the point count n in [1, max_points], then n
+    values of f, n of g and n weights, each uniform on (0, 2]."""
+    n = int(rng.integers(1, max_points + 1))
+    u = _positive_uniform(rng.random(3 * n))  # the same stream as three draws of n
+    return SimpleFunction(u[:n]), SimpleFunction(u[n : 2 * n]), MeasureSpace(u[2 * n :])
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _draw_stack(
+    rng: np.random.Generator, trials: int, max_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(f, g, w, mask) of ``trials`` calls of ``random_instance``, zero-padded
+    to max_points, leaving ``rng`` in the state those calls would leave.
+
+    The draws are read from the PCG64 words themselves, as numpy reads them:
+    ``integers(1, max_points + 1)`` takes a 32-bit half of a word, the low
+    half first with the high half held for the next call, and rejects by
+    Lemire's rule while (x * max_points) mod 2^32 < 2^32 mod max_points;
+    ``random`` takes whole words as (word >> 11) * 2^-53.  Only the walk
+    over the point counts is a Python loop; ``rng`` is then advanced by the
+    words used and given back its held half.
+    """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise InvalidDraw(
+            f"stacked draws need a PCG64 generator, got {type(bit_generator).__name__}"
+        )
+    entry = bit_generator.state
+    copy = np.random.PCG64(0)
+    copy.state = entry
+    words = copy.random_raw(trials * (1 + 3 * max_points))  # enough unless rejected
+    has_half, half = entry["has_uint32"], entry["uinteger"]
+    threshold = (1 << 32) % max_points
+    counts, starts = [], []
+    pos = 0
+    for _ in range(trials):
+        n = 1  # numpy takes no draw for max_points = 1
+        while max_points > 1:  # next_uint32 until Lemire's rule accepts
+            if has_half:
+                x, has_half = half, 0
+            else:
+                if pos >= len(words):  # rejections used up the bound
+                    words = np.concatenate([words, copy.random_raw(pos + 1 - len(words))])
+                word = int(words[pos])
+                pos += 1
+                x, half, has_half = word & _MASK32, word >> 32, 1
+            m = x * max_points
+            if m & _MASK32 >= threshold:
+                n = (m >> 32) + 1
+                break
+        counts.append(n)
+        starts.append(pos)
+        pos += 3 * n
+    if pos > len(words):
+        words = np.concatenate([words, copy.random_raw(pos - len(words))])
+    bit_generator.advance(pos)  # clears the held half
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bit_generator.state = state
+
+    counts = np.array(counts, dtype=np.intp)
+    mask = np.arange(max_points) < counts[:, None]
+    first = np.array(starts, dtype=np.intp)[:, None] + np.arange(max_points)
+    f, g, w = np.zeros((3, trials, max_points))
+    for k, arr in enumerate((f, g, w)):
+        raw = words[(first + k * counts[:, None])[mask]]
+        arr[mask] = _positive_uniform((raw >> np.uint64(11)) * 2.0**-53)
+    return f, g, w, mask
 
 
 def _equality_instances(

@@ -18,6 +18,7 @@ scalar functions wrap the stack kernels.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,17 +171,110 @@ class SchattenBatch:
     gamma_tilde: np.ndarray
 
 
+# numpy's SeedSequence hash (pool of 4 words) and PCG64's seeding LCG
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(hash_const: int, mult: int):
+    """numpy's SeedSequence hashmix over uint32 arrays; the multiplier
+    advances with every call, as in numpy."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_pools(entropy: np.ndarray) -> list[np.ndarray]:
+    """The four words of SeedSequence(entropy[k]).pool for every row k of a
+    (n, L) uint32 array, as four arrays over the rows."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    n, length = entropy.shape
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL, length):  # entropy longer than the pool
+        for i_dst in range(_POOL):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(entropy[:, i_src]))
+    return pool
+
+
+def _pcg64_states(dim: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The PCG64 (state, inc) of ``np.random.default_rng([dim, seed])`` for
+    every seed, as two object arrays of ints.
+
+    numpy reads the entropy [dim, seed] as little-endian 32-bit words (one
+    for 0), and the number of words changes the hash, so the seeds are
+    hashed in groups of equal word count.
+    """
+    seeds = np.array(seeds, dtype=object)
+    lengths = np.array([max(1, -(-seed.bit_length() // 32)) for seed in seeds], dtype=int)
+    state = np.empty(len(seeds), dtype=object)
+    inc = np.empty(len(seeds), dtype=object)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        entropy = np.empty((len(rows), 1 + length), dtype=np.uint32)
+        entropy[:, 0] = dim
+        for j in range(length):
+            entropy[:, 1 + j] = (seeds[rows] >> 32 * j) & _MASK32
+        pool = _seed_pools(entropy)
+        # generate_state(4, np.uint64): eight hashed words cycling over the pool
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        out = np.stack([hashmix(pool[i % _POOL]) for i in range(8)], axis=1)
+        s_hi, s_lo, i_hi, i_lo = out.astype("<u4").view("<u8").astype(object).T
+        # PCG64's seeding: inc = 2 * initseq + 1, then two LCG steps from 0
+        # with initstate added in between
+        inc[rows] = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        state[rows] = ((inc[rows] + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc[rows]) & _MASK128
+    return state, inc
+
+
 def random_psd_stack(dim: int, seeds: Sequence[int]) -> PSDStack:
     """G G* for G with iid standard complex normal entries, one member per
-    seed; member k is ``random_psd(dim, seeds[k])``."""
+    seed; member k is ``random_psd(dim, seeds[k])``.
+
+    Member k's G is drawn as ``np.random.default_rng([dim, seeds[k]])`` would
+    draw it: one standard_normal((2, dim, dim)), the real part first.  The
+    generators' PCG64 states are computed for all seeds at once (numpy's
+    SeedSequence hash over arrays of seeds, then PCG64's seeding step) and
+    set in turn on one reused generator, so no per-seed generator is built.
+    """
     if not 1 <= dim <= MAX_DIM:
         raise DimOutOfRange(f"dim must lie in [1, {MAX_DIM}], got {dim}")
-    G = np.empty((len(seeds), dim, dim), dtype=complex)
-    for k, seed in enumerate(seeds):
-        if seed < 0:
-            raise InvalidDraw(f"matrix seeds must be non-negative, got {seed}")
-        rng = np.random.default_rng([dim, seed])
-        G[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    seeds = [operator.index(seed) for seed in seeds]  # a float seed is a TypeError
+    negative = [seed for seed in seeds if seed < 0]
+    if negative:
+        raise InvalidDraw(f"matrix seeds must be non-negative, got {negative[0]}")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    X = np.empty((len(seeds), 2, dim, dim))
+    for k, (state, inc) in enumerate(zip(*_pcg64_states(dim, seeds))):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=X[k])
+    G = X[:, 0] + 1j * X[:, 1]
     G /= math.sqrt(2.0)
     return PSDStack(G @ _adjoint(G))
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -111,6 +112,20 @@ def test_audit_large_c_matches(tmp_path):
     (rep,) = json.loads(out.read_text(encoding="utf-8"))
     entry = rep["patterns"]["v_dprime"]
     assert entry["observed"]["overall"] == "minus_to_plus" and entry["match"] is True
+
+
+@pytest.mark.parametrize("c, fraction_min", [(-9.99e8, 999.000001), (-7e8, 700.000001)])
+def test_audit_large_negative_c_keeps_its_fraction(c, fraction_min, tmp_path, capsys):
+    # t^c overflows near t = 1 - delta, where the fraction is smallest: there
+    # it is read divided through by t^c instead of as inf or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run(["audit", f"--c={c}", "--points", "1000"], tmp_path, "audit.json")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    (rep,) = json.loads(out.read_text(encoding="utf-8"))
+    assert rep["fraction_ok"] is True
+    assert rep["fraction_min"] == pytest.approx(fraction_min, rel=1e-10)
 
 
 def test_bad_precision_mode_exits_2(monkeypatch, capsys):
