@@ -27,7 +27,7 @@ from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
 from .measure import SLACK, MeasureSpace, SimpleFunction, forward_region, relative_violation
 from .errors import InvalidDraw, NumericRange
 from .precision import backend, require_finite
-from .schatten import lieb_thirring_stack, random_psd_stack, schatten_verify_stack
+from .schatten import _SpectralPair, random_psd_stack
 
 FORWARD_PS = (0.3, 0.7, 2.5, 3.0, 4.5, 9.0)
 REVERSE_PS = (-3.0, -0.7, 1.2, 1.8)
@@ -64,6 +64,8 @@ def random_instance(
 ) -> tuple[SimpleFunction, SimpleFunction, MeasureSpace]:
     """One random instance: the point count n in [1, max_points], then n
     values of f, n of g and n weights, each uniform on (0, 2]."""
+    if max_points < 1:
+        raise InvalidDraw(f"max_points must be at least 1, got {max_points}")
     n = int(rng.integers(1, max_points + 1))
     u = _positive_uniform(rng.random(3 * n))  # the same stream as three draws of n
     return SimpleFunction(u[:n]), SimpleFunction(u[n : 2 * n]), MeasureSpace(u[2 * n :])
@@ -233,10 +235,12 @@ def schatten_campaign(
     checked = 0
     for dim in dims:
         base = seed * 1_000_003 + dim * 1_009
-        A = random_psd_stack(dim, [base + 2 * t for t in range(trials)])
-        B = random_psd_stack(dim, [base + 2 * t + 1 for t in range(trials)])
+        pair = _SpectralPair(
+            random_psd_stack(dim, [base + 2 * t for t in range(trials)]),
+            random_psd_stack(dim, [base + 2 * t + 1 for t in range(trials)]),
+        )
         for p in ps:
-            rep = schatten_verify_stack(A, B, p)
+            rep = pair.verify(p)
             checked += trials
             v = relative_violation(rep.lhs, rep.rhs, forward=True)
             max_violation = max(max_violation, float(v.max(initial=0.0)))
@@ -244,7 +248,7 @@ def schatten_campaign(
             if p == 2.0:
                 off = np.abs(v) > IDENTITY_SLACK
                 failures["identity_p2"] += int(np.count_nonzero(off))
-            lt_v = relative_violation(*lieb_thirring_stack(A, B, p), forward=True)
+            lt_v = relative_violation(*pair.rearrangement(p), forward=True)
             max_violation = max(max_violation, float(lt_v.max(initial=0.0)))
             failures["rearrangement"] += int(np.count_nonzero(lt_v > SLACK))
     return {

@@ -11,15 +11,18 @@ trace-rearrangement inequality tr[(B A^2 B)^(p/2)] <= tr[B^(p/2) A^p B^(p/2)],
 for every p = 2^k.  Other exponents are unproven; they can only be evaluated
 behind an explicit exploratory flag.
 
-The ``*_stack`` functions evaluate stacks of pairs, shape (n, d, d), with
-stacked eigendecompositions; ``PSDMatrix`` is a ``PSDStack`` of one, and the
-scalar functions wrap the stack kernels.
+The ``*_stack`` functions evaluate stacks of pairs, shape (n, d, d), in the
+eigenbases: with A's eigenvalues a, B's b and W_ij = |<u_i, v_j>|^2 for their
+eigenvectors, the mixed trace is sum_ij a_i^(p/2) W_ij b_j^(p/2) by cyclicity.
+Every p-independent eigensolve runs once per stack pair; ``PSDMatrix`` is a
+``PSDStack`` of one, and the scalar functions wrap the stack kernels.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,13 +92,6 @@ class PSDStack:
     def dim(self) -> int:
         return int(self.entries.shape[1])
 
-    def power(self, q: float) -> np.ndarray:
-        """Spectral fractional powers A^q of every member, (n, d, d) (0^q := 0)."""
-        lam = self.eigvals
-        with np.errstate(divide="ignore"):
-            powered = np.where(lam > 0.0, lam ** q, 0.0)
-        return (self.eigvecs * powered[..., None, :]) @ _adjoint(self.eigvecs)
-
 
 class PSDMatrix:
     """Hermitian positive-semidefinite matrix with a cached eigendecomposition:
@@ -128,7 +124,10 @@ class PSDMatrix:
 
     def power(self, q: float) -> np.ndarray:
         """Spectral fractional power A^q as a dense array (0^q := 0)."""
-        return self.stack.power(q)[0]
+        lam, vec = self.eigenvalues(), self.stack.eigvecs[0]
+        with np.errstate(divide="ignore"):
+            powered = np.where(lam > 0.0, lam ** q, 0.0)
+        return (vec * powered) @ _adjoint(vec)
 
     def __repr__(self) -> str:
         return f"PSDMatrix(dim={self.dim})"
@@ -299,43 +298,69 @@ def _hermitian_abs_norm(M: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 
 
-def _real_traces(M: np.ndarray) -> np.ndarray:
-    """Traces of a stack (n, d, d) whose traces must be real."""
-    tr = np.trace(M, axis1=-2, axis2=-1)
-    scale = np.maximum(np.abs(tr), np.linalg.norm(M, axis=(-2, -1)))
-    bad = np.flatnonzero((scale > 0.0) & (np.abs(tr.imag) > 1e-10 * scale))
-    if bad.size:
-        raise NotPSD(f"trace has a non-real residue {tr.imag[bad[0]]:.3e}")
-    return tr.real.copy()
+class _SpectralPair:
+    """The p-independent parts of a stack pair's traces, each computed once."""
 
+    def __init__(self, A: PSDStack, B: PSDStack):
+        if A.entries.shape != B.entries.shape:
+            raise BadShape(
+                f"dimension mismatch: stacks of shape {A.entries.shape} and {B.entries.shape}"
+            )
+        self.A, self.B = A, B
 
-def _check_pair(A: PSDStack, B: PSDStack) -> None:
-    if A.entries.shape != B.entries.shape:
-        raise BadShape(
-            f"dimension mismatch: stacks of shape {A.entries.shape} and {B.entries.shape}"
-        )
+    @cached_property
+    def sum_eigvals(self) -> np.ndarray:
+        return np.clip(np.linalg.eigvalsh(self.A.entries + self.B.entries), 0.0, None)
+
+    @cached_property
+    def inner_eigvals(self) -> np.ndarray:
+        inner = self.B.entries @ self.A.entries @ self.A.entries @ self.B.entries
+        return np.clip(np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0), 0.0, None)
+
+    @cached_property
+    def overlap(self) -> np.ndarray:
+        return np.abs(_adjoint(self.A.eigvecs) @ self.B.eigvecs) ** 2
+
+    def trace(self, q: float) -> np.ndarray:
+        """tr[B^(q/2) A^q B^(q/2)] = sum_ij a_i^q W_ij b_j^q >= 0, for q > 0."""
+        a, b = self.A.eigvals ** q, self.B.eigvals ** q
+        return (a[..., None, :] @ self.overlap @ b[..., :, None])[..., 0, 0]
+
+    def verify(self, p: float, allow_unproven: bool = False) -> SchattenBatch:
+        p = float(p)
+        if not _is_power_of_two_exponent(p) and not (allow_unproven and p > 2.0):
+            raise UnsupportedExponent(
+                "the trace bound is established only for p = 2^k; "
+                "pass allow_unproven=True to explore other p > 2"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            lhs = np.sum(self.sum_eigvals ** p, axis=-1)
+            S = np.sum(self.A.eigvals ** p, axis=-1) + np.sum(self.B.eigvals ** p, axis=-1)
+            mixed = self.trace(p / 2.0)
+            gamma_tilde = (mixed / (S / 2.0)) ** (2.0 / p)
+            rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
+        require_finite(p, lhs=lhs, rhs=rhs)
+        return SchattenBatch(lhs=lhs, rhs=rhs, mixed=mixed, gamma_tilde=gamma_tilde)
+
+    def rearrangement(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        if p < 1.0:
+            raise ExponentOutOfRange("the rearrangement check needs p >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            lhs = np.sum(self.inner_eigvals ** (p / 2.0), axis=-1)
+            rhs = self.trace(p)
+        require_finite(p, lhs=lhs, rhs=rhs)
+        return lhs, rhs
 
 
 def mixed_trace_stack(A: PSDStack, B: PSDStack, p: float) -> np.ndarray:
     """tr[B^(p/4) A^(p/2) B^(p/4)] for every pair of two stacks."""
     if p <= 0.0:
         raise ExponentOutOfRange("mixed trace needs p > 0")
-    _check_pair(A, B)
-    Bq = B.power(p / 4.0)
-    Ah = A.power(p / 2.0)
-    val = _real_traces(Bq @ Ah @ Bq)
-    negative = val < 0.0
-    if np.any(negative):
-        scale = np.sum(A.eigvals ** (p / 2), axis=-1) * np.sum(B.eigvals ** (p / 2), axis=-1)
-        bad = np.flatnonzero(val < -1e-12 * np.maximum(scale, 1e-300))
-        if bad.size:
-            raise NotPSD(f"mixed trace {val[bad[0]]:.3e} is negative beyond tolerance")
-        val[negative] = 0.0
-    return val
+    return _SpectralPair(A, B).trace(p / 2.0)
 
 
 def mixed_trace(A: PSDMatrix, B: PSDMatrix, p: float) -> float:
-    """tr[B^(p/4) A^(p/2) B^(p/4)] via spectral fractional powers."""
+    """tr[B^(p/4) A^(p/2) B^(p/4)], summed in the two eigenbases."""
     return float(mixed_trace_stack(A.stack, B.stack, p)[0])
 
 
@@ -355,22 +380,7 @@ def schatten_verify_stack(
     ``allow_unproven`` is set (see ``schatten_verify``); a side that is not
     a finite double raises NumericRange.
     """
-    p = float(p)
-    if not _is_power_of_two_exponent(p) and not (allow_unproven and p > 2.0):
-        raise UnsupportedExponent(
-            "the trace bound is established only for p = 2^k; "
-            "pass allow_unproven=True to explore other p > 2"
-        )
-    _check_pair(A, B)
-    lam_sum = np.linalg.eigvalsh(A.entries + B.entries)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lhs = np.sum(np.clip(lam_sum, 0.0, None) ** p, axis=-1)
-        S = np.sum(A.eigvals ** p, axis=-1) + np.sum(B.eigvals ** p, axis=-1)
-        mixed = mixed_trace_stack(A, B, p)
-        gamma_tilde = (mixed / (S / 2.0)) ** (2.0 / p)
-        rhs = (1.0 + gamma_tilde) ** (p - 1.0) * S
-    require_finite(p, lhs=lhs, rhs=rhs)
-    return SchattenBatch(lhs=lhs, rhs=rhs, mixed=mixed, gamma_tilde=gamma_tilde)
+    return _SpectralPair(A, B).verify(p, allow_unproven)
 
 
 def schatten_verify(
@@ -402,19 +412,7 @@ def lieb_thirring_stack(
     A: PSDStack, B: PSDStack, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the trace rearrangement for every pair of two stacks."""
-    if p < 1.0:
-        raise ExponentOutOfRange("the rearrangement check needs p >= 1")
-    _check_pair(A, B)
-    Am, Bm = A.entries, B.entries
-    inner = Bm @ Am @ Am @ Bm
-    lam = np.clip(np.linalg.eigvalsh((inner + _adjoint(inner)) / 2.0), 0.0, None)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lhs = np.sum(lam ** (p / 2.0), axis=-1)
-        Bh = B.power(p / 2.0)
-        Ap = A.power(p)
-        rhs = _real_traces(Bh @ Ap @ Bh)
-    require_finite(p, lhs=lhs, rhs=rhs)
-    return lhs, rhs
+    return _SpectralPair(A, B).rearrangement(p)
 
 
 def lieb_thirring_check(A: PSDMatrix, B: PSDMatrix, p: float) -> tuple[float, float]:
@@ -439,7 +437,7 @@ def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingR
     p = float(p)
     if not _is_power_of_two_exponent(p):
         raise UnsupportedExponent("doubling is established only for p = 2^k")
-    _check_pair(A.stack, B.stack)
+    _SpectralPair(A.stack, B.stack)  # raises BadShape unless the shapes match
     s = float(
         (np.sum(A.eigenvalues() ** (2 * p)) + np.sum(B.eigenvalues() ** (2 * p))) / 2.0
     ) ** (1.0 / (2.0 * p))

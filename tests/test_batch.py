@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from sharplp import schatten
 from sharplp.campaigns import (
     MAX_POINTS,
     _draw_stack,
@@ -244,18 +243,20 @@ def test_stack_rejects_one_bad_member():
             random_psd_stack(dim, [1])
 
 
-def test_stack_trace_checks(monkeypatch):
-    with pytest.raises(NotPSD, match="non-real"):
-        schatten._real_traces(np.array([np.eye(2), np.diag([1.0 + 1.0j, 1.0])]))
+def test_stack_trace_checks():
     A = random_psd_stack(3, [1, 2])
     B = random_psd_stack(3, [3, 4])
     with pytest.raises(ExponentOutOfRange):
         mixed_trace_stack(A, B, 0.0)
-    monkeypatch.setattr(schatten, "_real_traces", lambda M: np.array([1.0, -1e-300]))
-    np.testing.assert_array_equal(mixed_trace_stack(A, B, 4.0), [1.0, 0.0])
-    monkeypatch.setattr(schatten, "_real_traces", lambda M: np.array([1.0, -5.0]))
-    with pytest.raises(NotPSD, match="negative beyond tolerance"):
-        mixed_trace_stack(A, B, 4.0)
+    # sums of non-negative terms: real, and exactly 0 for orthogonal ranges
+    P = PSDStack(np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]))
+    Q = PSDStack(np.array([np.diag([0.0, 2.0]), np.diag([3.0, 0.0])]))
+    for a, b in ((A, B), (B, A), (P, Q)):
+        for p in (0.5, 2.0, 4.0, 16.0):
+            val = mixed_trace_stack(a, b, p)
+            assert val.dtype == np.float64 and val.shape == (2,)
+            assert np.all(val >= 0.0)
+    assert mixed_trace_stack(P, Q, 4.0)[0] == 0.0
 
 
 def test_stack_exponent_and_shape_checks():
@@ -329,6 +330,25 @@ def test_schatten_campaign_matches_pair_loop():
     assert summary["max_violation"] == max_violation
     assert summary["failures"] == {"bound": 0, "rearrangement": 0, "identity_p2": 0}
     assert summary["instances_checked"] == trials * len(ps) * len(dims)
+
+
+@pytest.mark.parametrize(
+    "ps", [(2.0,), (2.0, 4.0, 8.0, 16.0), (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
+)
+def test_schatten_campaign_solves_each_eigenproblem_once(monkeypatch, ps):
+    # the spectra of A + B and B A^2 B do not depend on p
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    dims = (1, 3, 6)
+    summary = schatten_campaign(seed=5, trials=4, ps=ps, dims=dims)
+    assert summary["passed"]
+    assert len(calls) <= 2 * len(dims)
 
 
 def test_high_precision_verify_is_fifty_digits_throughout():

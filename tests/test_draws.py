@@ -50,6 +50,15 @@ def test_random_instance_is_numpy_calls():
         assert rng.bit_generator.state == numpy_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("max_points", [0, -3])
+def test_random_instance_needs_a_point(max_points):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidDraw, match="max_points must be at least 1"):
+        random_instance(rng, max_points)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
 def _assert_same_stream(make_rng, trials, max_points):
     numpy_rng, stacked_rng = make_rng(), make_rng()
     want = _instance_stack(numpy_rng, trials, max_points)

@@ -4,12 +4,17 @@ import pytest
 from sharplp.errors import DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
 from sharplp.schatten import (
     PSDMatrix,
+    PSDStack,
     lieb_thirring_check,
+    lieb_thirring_stack,
     mixed_trace,
+    mixed_trace_stack,
     random_psd,
+    random_psd_stack,
     schatten_doubling,
     schatten_norm,
     schatten_verify,
+    schatten_verify_stack,
 )
 
 
@@ -187,3 +192,81 @@ def test_dim_one_matrices():
     assert schatten_norm(A, 3.0) == pytest.approx(a, rel=1e-13)
     lhs, rhs = lieb_thirring_check(A, B, 4.0)
     assert lhs == pytest.approx(rhs, rel=1e-12)  # scalars commute
+
+
+def _dense_traces(A, B, p):
+    """tr[B^(p/4) A^(p/2) B^(p/4)] and tr[B^(p/2) A^p B^(p/2)] by their
+    definition: products of dense spectral powers."""
+    Bq, Bh = B.power(p / 4.0), B.power(p / 2.0)
+    mixed = np.trace(Bq @ A.power(p / 2.0) @ Bq)
+    rhs = np.trace(Bh @ A.power(p) @ Bh)
+    return mixed.real, rhs.real
+
+
+def _assert_eigenbasis_traces(A, B, p, allow_unproven=False):
+    """The stack kernels and the scalar wrappers against the dense
+    definition, member by member, to 1e-12 relative."""
+    mixed = mixed_trace_stack(A, B, p)
+    np.testing.assert_array_equal(schatten_verify_stack(A, B, p, allow_unproven).mixed, mixed)
+    rhs = lieb_thirring_stack(A, B, p)[1]
+    for k in range(len(mixed)):
+        a, b = PSDMatrix(A.entries[k]), PSDMatrix(B.entries[k])
+        want_mixed, want_rhs = _dense_traces(a, b, p)
+        scalar = schatten_verify(a, b, p, allow_unproven).mixed
+        for got in (mixed[k], mixed_trace(a, b, p), scalar):
+            assert got == pytest.approx(want_mixed, rel=1e-12, abs=0.0)
+        for got in (rhs[k], lieb_thirring_check(a, b, p)[1]):
+            assert got == pytest.approx(want_rhs, rel=1e-12, abs=0.0)
+
+
+def _unitary(rng, dim):
+    Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(Z)[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0])
+def test_eigenbasis_traces_match_dense_powers(dim, p):
+    A = random_psd_stack(dim, range(700, 708))
+    B = random_psd_stack(dim, range(800, 808))
+    _assert_eigenbasis_traces(A, B, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0])
+def test_eigenbasis_traces_of_rank_deficient_members(p):
+    # projectors of every rank, a zero matrix and exact zeros on a diagonal:
+    # zero eigenvalues contribute 0^q := 0
+    rng = np.random.default_rng(17)
+    dim = 4
+    projectors = []
+    for rank in range(1, dim + 1):
+        V = _unitary(rng, dim)[:, :rank]
+        projectors.append(V @ V.conj().T)
+    A = PSDStack(np.array(projectors + [np.zeros((dim, dim)), np.diag([2.0, 0.0, 1.0, 0.0])]))
+    B = random_psd_stack(dim, range(6))
+    _assert_eigenbasis_traces(A, B, p)
+    _assert_eigenbasis_traces(B, A, p)
+    assert mixed_trace_stack(A, B, p)[4] == 0.0  # the zero member
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0])
+def test_eigenbasis_rearrangement_is_equality_for_commuting_pairs(p):
+    rng = np.random.default_rng(23)
+    U = _unitary(rng, 5)
+    a = np.array([0.0, 0.3, 1.0, 1.7, 2.5])
+    b = np.array([1.2, 0.0, 0.4, 2.1, 0.9])
+    A = PSDStack((U * a) @ U.conj().T[None])
+    B = PSDStack((U * b) @ U.conj().T[None])
+    _assert_eigenbasis_traces(A, B, p)
+    lhs, rhs = lieb_thirring_stack(A, B, p)
+    assert rhs[0] == pytest.approx(np.sum((a * b) ** p), rel=1e-12)
+    assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, 5.5, 12.0])
+def test_eigenbasis_traces_at_unproven_exponents(p):
+    A = random_psd_stack(4, range(900, 906))
+    B = random_psd_stack(4, range(950, 956))
+    with pytest.raises(UnsupportedExponent):
+        schatten_verify_stack(A, B, p)
+    _assert_eigenbasis_traces(A, B, p, allow_unproven=True)
