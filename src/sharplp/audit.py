@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import (
     DomainError,
@@ -215,17 +214,20 @@ def hyperbolic_point(x: float, p: float) -> HyperbolicPoint:
             log_db = (1.0 - pv) * log2 + xp.log(abs(pv)) + _logsinh(xp, u) - (
                 (pv + 1.0) * xp.logcosh(xv)
             )
-            db_dx = (1.0 if p * sign_s > 0.0 else -1.0) * xp.exp(log_db)
+            sign_db = 1.0 if p * sign_s > 0.0 else -1.0
+            db_dx = sign_db * xp.exp(log_db)
             dH_db = -sign_s * xp.exp(_logsinh(xp, xv) - log2 - _logsinh(xp, u))
 
             gap = (pv - 1.0) * xp.tanh(xv) - xp.tanh((pv - 1.0) * xv)
             # sinh((p-1)x) * tanh((p-1)x) = sinh(u) * tanh(u) > 0
             log_den = log2 + _logsinh(xp, u) + xp.log(xp.tanh(u))
-            ddx = 0.0 if gap == 0.0 else (1.0 if gap > 0.0 else -1.0) * xp.exp(
-                xp.logcosh(xv) + xp.log(abs(gap)) - log_den
-            )
+            # log|ddx| is -inf where gap = 0.  d2H/db2 = ddx/db_dx is taken
+            # in logs: db/dx underflows to 0 long before d2H/db2 overflows
+            sign_gap = int(gap > 0.0) - int(gap < 0.0)
+            log_ddx = xp.logcosh(xv) + xp.log(abs(gap)) - log_den
             fields.update(
-                db_dx=db_dx, dh_dx=dh_dx, dH_db=dH_db, ddx_dH_db=ddx, d2H_db2=ddx / db_dx
+                db_dx=db_dx, dh_dx=dh_dx, dH_db=dH_db, ddx_dH_db=sign_gap * xp.exp(log_ddx),
+                d2H_db2=sign_gap * sign_db * xp.exp(log_ddx - log_db),
             )
     require_finite(p, **fields)
     return HyperbolicPoint(**fields)
@@ -292,6 +294,16 @@ class ChainContext:
 def _fraction(c, t):
     """(1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
     return (1.0 - c) * (t ** c + 1.0) * (1.0 - t) / (t ** c - t)
+
+
+def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
+    """``_fraction`` on doubles, divided through by t^c where t^c overflows."""
+    with np.errstate(all="ignore"):
+        fraction = _fraction(c, t)
+        lost = ~np.isfinite(fraction)
+        tl = t[lost]
+        fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
+    return fraction
 
 
 def _chain_f(xp, c, t):
@@ -453,7 +465,9 @@ def fraction_bound(ctx: ChainContext, t: float) -> float:
     t = float(t)
     if not 0.0 < t < 1.0:
         raise DomainError(f"t must lie in (0, 1), got {t}")
-    return float(_fraction(ctx.c, t))
+    fraction = _fraction_double(ctx.c, np.array([t]))[0]
+    require_finite(ctx.p, fraction=fraction)
+    return float(fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +609,12 @@ def _classify(
     return SignChangePattern(crossings=tuple(crossings), overall=overall)
 
 
+def _local_scale(mags: np.ndarray) -> np.ndarray:
+    """The max of ``mags`` over each sample's 5-sample window, edge-padded."""
+    padded = np.pad(mags, 2, mode="edge")
+    return np.max([padded[k : k + mags.size] for k in range(5)], axis=0)
+
+
 def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
@@ -632,7 +652,7 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
 
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
-    local = maximum_filter1d(np.where(finite, absvals, 0.0), size=5, mode="nearest")
+    local = _local_scale(np.where(finite, absvals, 0.0))
     # infinities carry a definite sign; NaNs and sub-scale samples do not
     ambiguous = np.isnan(vals) | (finite & (absvals <= _ZERO_REL * local))
 
@@ -751,11 +771,5 @@ def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
     extras = {name: entry(name, kind) for name, kind in _extra_expectations(c).items()}
 
     t = np.linspace(ctx.delta, 1.0 - ctx.delta, grid_size)
-    with np.errstate(all="ignore"):
-        fraction = _fraction(c, t)
-        # for large negative c, t^c overflows: divide through by t^c there
-        lost = ~np.isfinite(fraction)
-        tl = t[lost]
-        fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
-        fraction_min = float(np.nanmin(fraction))
+    fraction_min = float(np.nanmin(_fraction_double(c, t)))
     return ChainReport(c, patterns, extras, fraction_min, bool(fraction_min > 1.0 - 1e-12))

@@ -39,6 +39,7 @@ from .measure import (
     MeasureSpace,
     RegionKind,
     SimpleFunction,
+    _check_aligned,
     check_stack,
     forward_region,
     overlap_rows,
@@ -226,6 +227,8 @@ def detect_equality_case(
     constant max{alpha, 1-alpha} (the two functions are pointwise a constant
     split of their sum, up to swapping roles).
     """
+    _check_aligned(f, space)
+    _check_aligned(g, space)
     if np.any(f.values < 0.0) or np.any(g.values < 0.0):
         raise NegativeInput("f and g must be nonnegative")
     s = f.values + g.values
@@ -258,6 +261,7 @@ def jensen_audit(
         raise ZeroExponent("p = 0 is not admissible")
     if p in (1.0, 2.0):
         raise ExponentOutOfRange("the averaging audit needs p outside {1, 2}")
+    _check_aligned(alpha, prob_space)
     w = prob_space.weights
     if abs(float(w.sum()) - 1.0) > 1e-12:
         raise NotProbabilitySpace("weights must sum to 1 within 1e-12")

@@ -52,10 +52,10 @@ class PSDStack:
     """Stack of Hermitian positive-semidefinite matrices, shape (n, d, d),
     with cached eigendecompositions.
 
-    Hermiticity is enforced to 1e-12 relative to the spectral norm (max
-    |eigenvalue| of the Hermitian part); eigenvalues above -1e-10 * ||A|| are
-    clamped to zero, anything lower is rejected.  Each check applies to every
-    member, and a failing member is named by its index.
+    Entries must be finite.  Hermiticity is enforced to 1e-12 relative to the
+    spectral norm (max |eigenvalue| of the Hermitian part); eigenvalues above
+    -1e-10 * ||A|| are clamped to zero, anything lower is rejected.  Each check
+    applies to every member, and a failing member is named by its index.
     """
 
     __slots__ = ("entries", "eigvals", "eigvecs")
@@ -66,6 +66,9 @@ class PSDStack:
             raise BadShape("entries must form a stack of square matrices")
         if arr.shape[1] < 1:
             raise DimOutOfRange("dimension must be at least 1")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(-2, -1)))
+        if bad.size:
+            raise NotPSD(f"matrix {bad[0]} has a non-finite entry")
         herm = (arr + _adjoint(arr)) / 2.0
         lam, vec = np.linalg.eigh(herm)
         scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
@@ -288,8 +291,10 @@ def schatten_norm(A: PSDMatrix, p: float) -> float:
     """(sum_i lambda_i^p)^(1/p) over the eigenvalues of a PSD matrix, p >= 1."""
     if p < 1.0:
         raise ExponentOutOfRange("Schatten norms are defined for p >= 1 here")
-    lam = A.eigenvalues()
-    return float(np.sum(lam ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # checked below
+        norm = np.sum(A.eigenvalues() ** p) ** (1.0 / p)
+    require_finite(p, norm=norm)
+    return float(norm)
 
 
 def _hermitian_abs_norm(M: np.ndarray, p: float) -> float:
@@ -322,9 +327,13 @@ class _SpectralPair:
         return np.abs(_adjoint(self.A.eigvecs) @ self.B.eigvecs) ** 2
 
     def trace(self, q: float) -> np.ndarray:
-        """tr[B^(q/2) A^q B^(q/2)] = sum_ij a_i^q W_ij b_j^q >= 0, for q > 0."""
-        a, b = self.A.eigvals ** q, self.B.eigvals ** q
-        return (a[..., None, :] @ self.overlap @ b[..., :, None])[..., 0, 0]
+        """tr[B^(q/2) A^q B^(q/2)] = sum_ij a_i^q W_ij b_j^q >= 0, for q > 0;
+        NumericRange where it is not a finite double."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            a, b = self.A.eigvals ** q, self.B.eigvals ** q
+            trace = (a[..., None, :] @ self.overlap @ b[..., :, None])[..., 0, 0]
+        require_finite(q, trace=trace)
+        return trace
 
     def verify(self, p: float, allow_unproven: bool = False) -> SchattenBatch:
         p = float(p)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,6 +104,17 @@ def test_hyperbolic_point_values():
         hyperbolic_point(1.0, 1.0)
     with pytest.raises(SingularPoint):
         curvature(0.0, 3.0)
+
+
+def test_curvature_where_db_dx_underflows():
+    # at x = 400, db/dx underflows to 0 while d2H/db2 ~ e^400 is a double
+    pt = hyperbolic_point(400.0, 3.0)
+    assert pt.db_dx == 0.0
+    want = oracle.hyperbolic_fields(400.0, 3.0)["d2H_db2"]
+    assert pt.d2H_db2 == pytest.approx(float(want), rel=1e-12)
+    assert curvature(400.0, 3.0) == pt.d2H_db2
+    with pytest.raises(NumericRange):  # ~ e^1000 is not a double
+        curvature(1000.0, 3.0)
 
 
 def test_hyperbolic_consistency_with_direct():
@@ -258,6 +270,23 @@ def test_fraction_lemma():
         ctx = ChainContext.from_c(c)
         for t in np.linspace(1e-5, 1.0 - 1e-5, 200):
             assert fraction_bound(ctx, float(t)) > 1.0
+
+
+def test_fraction_bound_divides_through_where_t_to_the_c_overflows():
+    # 0.5^-1e6 overflows; divided through by t^c the factor is (1-c)/2
+    assert fraction_bound(ChainContext.from_c(-1e6), 0.5) == 500000.5
+    with pytest.raises(NumericRange):  # (c-1)(1-t)/t beyond the doubles
+        fraction_bound(ChainContext.from_c(1e300), 1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 10_000])
+def test_local_scale_is_the_window_max(n):
+    rng = np.random.default_rng(n)
+    for zeros in (0.0, 0.3, 1.0):
+        x = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        x[rng.random(n) < zeros] = 0.0
+        want = np.array([max(x[max(0, i - 2) : i + 3]) for i in range(n)])
+        assert audit._local_scale(x).tobytes() == want.tobytes()
 
 
 def test_sign_changes_rejects_coarse_grid():

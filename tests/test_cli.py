@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import sharplp
 from sharplp.cli import CommandConfig, main, parse_config, run
 
 
@@ -241,6 +245,9 @@ def test_contour_stdout_matches_out_file(tmp_path, capsys):
     [
         ["verify", "--points", "1"],
         ["verify", "--points", "0"],
+        ["verify", "--trials", "0"],
+        ["schatten", "--trials", "0"],
+        ["audit", "--points", "999"],
         ["verify", "--seed", "-1", "--trials", "2"],
         ["schatten", "--seed", "-1", "--trials", "2"],
         ["means", "--seed", "-1"],
@@ -290,3 +297,21 @@ def test_exponent_out_of_range_exits_2(argv, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_imports_without_scipy():
+    # the package depends on numpy and mpmath only: with every scipy import
+    # made to fail, the CLI still imports and loads no scipy module
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import sharplp.cli\n"
+        "print([m for m, mod in sys.modules.items() if m.startswith('scipy') and mod])\n"
+    )
+    src = os.path.dirname(os.path.dirname(sharplp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sharplp.errors import (
+    MisalignedFunction,
     NonpositiveValueForNegativeP,
     NotProbabilitySpace,
     OutOfRangeAlpha,
@@ -152,6 +153,14 @@ def test_equality_detection_examples():
     assert case.kind is EqualityKind.EQUAL_FUNCTIONS
 
 
+def test_equality_detection_rejects_misaligned_inputs():
+    w3 = MeasureSpace([1.0, 1.0, 1.0])
+    with pytest.raises(MisalignedFunction):
+        detect_equality_case(SimpleFunction([1, 2]), SimpleFunction([1, 2, 3]), w3)
+    with pytest.raises(MisalignedFunction):
+        detect_equality_case(SimpleFunction([1, 2]), SimpleFunction([1, 2]), w3)
+
+
 def test_equality_cases_meet_equality():
     rng = np.random.default_rng(21)
     for _ in range(50):
@@ -249,6 +258,8 @@ def test_jensen_errors():
         jensen_audit(SimpleFunction([1.2, 0.5]), w, 3.0)
     with pytest.raises(OutOfRangeAlpha):
         jensen_audit(SimpleFunction([1.0, 0.5]), w, -2.0)
+    with pytest.raises(MisalignedFunction):
+        jensen_audit(SimpleFunction([0.5, 0.5]), MeasureSpace([0.25, 0.25, 0.5]), 3.0)
 
 
 def test_main_sides_log_path_with_zeros():

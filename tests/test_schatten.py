@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from sharplp.errors import DimOutOfRange, ExponentOutOfRange, NotPSD, UnsupportedExponent
+from sharplp.errors import (
+    DimOutOfRange,
+    ExponentOutOfRange,
+    NotPSD,
+    NumericRange,
+    UnsupportedExponent,
+)
 from sharplp.schatten import (
     PSDMatrix,
     PSDStack,
@@ -26,6 +32,16 @@ def test_psd_validation():
     m = PSDMatrix([[2.0, 1.0], [1.0, 2.0]])
     assert m.dim == 2
     np.testing.assert_allclose(m.eigenvalues(), [1.0, 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_psd_rejects_non_finite_entries(bad):
+    with pytest.raises(NotPSD, match="matrix 0 has a non-finite entry"):
+        PSDMatrix([[bad, 0.0], [0.0, 1.0]])
+    entries = np.stack([np.eye(2), np.eye(2), np.eye(2)]).astype(complex)
+    entries[2, 0, 1] = entries[2, 1, 0] = bad
+    with pytest.raises(NotPSD, match="matrix 2 has a non-finite entry"):
+        PSDStack(entries)
 
 
 def test_random_psd():
@@ -55,6 +71,15 @@ def test_schatten_norm():
     assert schatten_norm(A, 4.0) == pytest.approx(tr4 ** 0.25, rel=1e-12)
     with pytest.raises(ExponentOutOfRange):
         schatten_norm(A, 0.5)
+
+
+def test_traces_beyond_the_doubles_raise_numeric_range():
+    # lambda^1000 and a^5000 overflow; the norm would be inf, the trace nan
+    A, B = random_psd(3, 0), random_psd(3, 1)
+    with pytest.raises(NumericRange):
+        schatten_norm(A, 1000.0)
+    with pytest.raises(NumericRange):
+        mixed_trace(A, B, 1e4)
 
 
 def test_mixed_trace():
