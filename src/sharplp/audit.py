@@ -74,19 +74,11 @@ def _check_a(a: float, p: float) -> bool:
 
 
 def _b(xp, a, p):
+    """b(a) = a^p + (1-a)^p for a in (0, 1)."""
     a, pv = xp.asarray(a), xp.asarray(p)
     b = xp.exp(xp.logaddexp(pv * xp.log(a), pv * xp.log1p(-a)))
     require_finite(p, b=b)
     return b
-
-
-def b_of_a(a: float, p: float) -> float:
-    """b(a) = a^p + (1-a)^p on [0, 1] (endpoints give 1 for p > 0)."""
-    a, p = float(a), float(p)
-    if _check_a(a, p):
-        return 1.0
-    with backend() as xp:
-        return _b(xp, a, p)
 
 
 def h_of_a(a: float, p: float) -> float:
@@ -240,14 +232,6 @@ def curvature(x: float, p: float) -> float:
     point = hyperbolic_point(x, p)
     assert point.d2H_db2 is not None
     return point.d2H_db2
-
-
-def tanh_gap(t_param: float, x: float) -> float:
-    """t*tanh(x) - tanh(t*x); vanishes at t in {-1, 0, 1}, positive for t > 1
-    and -1 < t < 0 (x > 0), negative otherwise."""
-    with backend() as xp:
-        t, x = xp.asarray(t_param), xp.asarray(x)
-        return t * xp.tanh(x) - xp.tanh(t * x)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +444,6 @@ def chain_eval(name: str, ctx: ChainContext, t: float) -> float:
             return _CHAIN_FLOAT[name](xp, xp.asarray(ctx.c), xp.asarray(t))
 
 
-def fraction_bound(ctx: ChainContext, t: float) -> float:
-    """The second factor (1-c)(t^c+1)(1-t)/(t^c-t); provably > 1 on (0, 1)."""
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie in (0, 1), got {t}")
-    fraction = _fraction_double(ctx.c, np.array([t]))[0]
-    require_finite(ctx.p, fraction=fraction)
-    return float(fraction)
-
-
 # ---------------------------------------------------------------------------
 # sign-change detection
 # ---------------------------------------------------------------------------
@@ -543,15 +517,9 @@ def _sign_of(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _mp_sign(name: str, c: float, t: float) -> int:
-    """Sign of the chain function at 50 digits."""
-    with mp_workdps() as xp:
-        return _sign_of(_CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t)))
-
-
 def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
     """The chain function at 50 digits on the samples ``t``, as one object
-    array of mpf, each entry the value ``_mp_sign`` takes the sign of.
+    array of mpf.
 
     c is a one-entry array, so every operation is array with array: an mpf
     left of an object array first fails to convert it, and the failure
@@ -619,16 +587,18 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta) is scanned in double precision.
-    Samples whose magnitude falls under 1e-13 of the local 5-sample scale, or
-    that sit in the edge guard bands, are re-evaluated at 50 digits before a
-    sign is accepted.  The known t -> 0+ and t -> 1- limit signs are added at
-    either end, so crossings in the truncated bands are still reported
-    (their brackets are refined below delta and above 1 - delta).  The grid
+    Samples that are not finite, whose magnitude falls under 1e-13 of the
+    local 5-sample scale, or that sit in the edge guard bands, are
+    re-evaluated at 50 digits before a sign is accepted.  The known t -> 0+
+    and t -> 1- limit signs are added at either end, so crossings in the
+    truncated bands are still reported (their brackets are refined below
+    delta and above 1 - delta).  The grid
     is classified with array operations: a crossing is a pair of consecutive
     nonzero samples of opposite sign (zero samples are skipped), and only
     those pairs reach Python, where each is bisected to a bracket of width
     1e-10.  The escalated samples are evaluated together, as one 50-digit
-    object array; only the bisection probes go to 50 digits one at a time.
+    object array; only the bisection probes go to 50 digits one at a time,
+    each as an array of one sample.
     No Python loop runs over the grid's samples.  Raises NumericRange for
     |c| >= 1e9 (p = 1/c within 1e-9 of 0), where t^c is not a usable double
     anywhere on the grid.
@@ -653,8 +623,9 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
     local = _local_scale(np.where(finite, absvals, 0.0))
-    # infinities carry a definite sign; NaNs and sub-scale samples do not
-    ambiguous = np.isnan(vals) | (finite & (absvals <= _ZERO_REL * local))
+    # a non-finite double has no trustworthy sign: where one term of an
+    # opposite-sign sum overflows first, v is -inf and its 50-digit value > 0
+    ambiguous = ~finite | (absvals <= _ZERO_REL * local)
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
@@ -680,7 +651,7 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
             or x >= 1.0 - _EDGE_GUARD
             or abs(v) <= 1e-12 * (1.0 + abs(v))
         ):
-            return _mp_sign(name, ctx.c, x)
+            return _sign_of(_mp_chain(name, ctx.c, np.array([x]))[0])
         return _sign_of(v)
 
     return _classify(seq_t, seq_s, _sign_at)

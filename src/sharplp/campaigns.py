@@ -291,7 +291,7 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     """Seeded checks of the mean-chain ordering and the power-mean form.
 
     For each p, ``trials`` pairs (x, y) uniform on (0, 2] are drawn.  For
-    p > 2 the four terms of ``agm_chain`` must be non-increasing and
+    p > 2 the four terms of ``_agm_chain`` must be non-increasing and
     nonnegative within 1e-12.  For every p the power-mean form
     M_1^p vs ((M_p + M_-p)/2)^(p-1) M_p must hold by the rule of
     ``measure.relative_violation``.  The mode of ``SHARPLP_PRECISION`` is read once,

@@ -116,8 +116,8 @@ def direct_p4(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace) -> P4Re
 
     Inputs are rescaled internally to ||f||_4^4 + ||g||_4^4 = 2.  The chain
     ||f+g||_4^2 <= beta + 2 alpha <= sqrt(2)(1+alpha)^(3/2) is checked along
-    with the identity beta^2 = 2 + 2 alpha^2 and the scalar square-root bound;
-    a violation beyond slack raises InequalityViolation.
+    with the identity beta^2 = 2 + 2 alpha^2 and the scalar square-root bound
+    psi_{1/2}(alpha) >= 0; a violation beyond slack raises InequalityViolation.
     """
     if np.any(f.values < 0.0) or np.any(g.values < 0.0):
         raise NegativeInput("f and g must be nonnegative")
@@ -143,8 +143,7 @@ def direct_p4(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace) -> P4Re
         raise InequalityViolation(f"normalized overlap out of range: {report}")
     if abs(identity_gap) > 1e-12 * max(1.0, beta ** 2):
         raise InequalityViolation(f"beta^2 = 2 + 2 alpha^2 failed: {report}")
-    scalar_gap = (1.0 + alpha) ** 1.5 - math.sqrt(2.0) * alpha - math.sqrt(1.0 + alpha ** 2)
-    if scalar_gap < -1e-12:
+    if psi(0.5, alpha) < -1e-12:
         raise InequalityViolation(f"scalar square-root bound failed: {report}")
     return report
 

@@ -73,10 +73,6 @@ class InvalidDraw(SharpLpError):
 
 # -- scalar means / factor layer ----------------------------------------------
 
-class NonpositiveArgument(SharpLpError):
-    """Power means require strictly positive arguments."""
-
-
 class ExponentOutOfRange(SharpLpError):
     """The exponent lies outside the range this operation supports."""
 

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EndpointWithNegativeP,
-    ExponentOutOfRange,
-    NonpositiveArgument,
-    OutOfDomain,
-    ZeroExponent,
-)
+from .errors import EndpointWithNegativeP, ExponentOutOfRange, OutOfDomain, ZeroExponent
 from .precision import backend, require_finite
 
 # Sign witnesses are searched on (0, 0.1] with log-spaced samples, then the
@@ -58,19 +52,9 @@ class SharpnessResult:
     witness_s: float | None
 
 
-def power_mean(x: float, y: float, q: float) -> float:
-    """((x^q + y^q)/2)^(1/q) for q != 0, geometric mean at q = 0.
-
-    Evaluated as exp(mid + logcosh(q*d)/q) with mid, d the mean and half-gap
-    of the logs, which is stable for every q and never overflows.
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise NonpositiveArgument("power means need x, y > 0")
-    with backend() as xp:
-        return _power_mean(xp, x, y, q)
-
-
 def _power_mean(xp, x, y, q):
+    """((x^q + y^q)/2)^(1/q) for x, y > 0, the geometric mean at q = 0, as
+    exp(mid + logcosh(q*d)/q) with mid, d the mean and half-gap of the logs."""
     lx, ly = xp.log(xp.asarray(x)), xp.log(xp.asarray(y))
     mid, d = 0.5 * (lx + ly), 0.5 * (lx - ly)
     if q == 0.0:
@@ -121,21 +105,9 @@ def constant_factor(alpha: float, p: float, q_exponent: float) -> float:
     return constant_factors(float(alpha), float(p), float(q_exponent)).item()
 
 
-def agm_chain(x: float, y: float, p: float) -> AGMChain:
-    """Refinement chain 1-(A/Mp)^p' >= (1-(G/Mp)^2)/2 >= (1-(G/Mp')^2)/2 >= 1-(A/Mp')^p.
-
-    Valid for x, y > 0 and p > 2, with p' = p/(p-1); all four terms are
-    nonnegative and vanish together exactly at x = y.
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise NonpositiveArgument("chain needs x, y > 0")
-    if not p > 2.0:
-        raise ExponentOutOfRange("chain requires p > 2")
-    with backend() as xp:
-        return _agm_chain(xp, x, y, p)
-
-
 def _agm_chain(xp, x, y, p) -> AGMChain:
+    """1-(A/Mp)^p' >= (1-(G/Mp)^2)/2 >= (1-(G/Mp')^2)/2 >= 1-(A/Mp')^p for
+    x, y > 0 and p > 2, p' = p/(p-1); the terms vanish together at x = y."""
     p_dual = p / (p - 1.0)
     x, y = xp.asarray(x), xp.asarray(y)
     A = 0.5 * (x + y)
@@ -151,71 +123,15 @@ def _agm_chain(xp, x, y, p) -> AGMChain:
     return AGMChain(A=A, G=G, Mp=Mp, Mp_dual=Mp_dual, terms=terms)
 
 
-# Exponents within this distance of 1 are routed to the explicit limit
-# formula; the generic exponent 1/(p-1) is singular there.
-_P1_SWITCH = 1e-6
-
-
-def _f1_limit(xp, s):
-    """Explicit value of the gap function at p = 1."""
-    rs = xp.sqrt(s)
-    return (2.0 - s) * (1.0 - rs) ** (0.5 * (1.0 - rs)) * (1.0 + rs) ** (0.5 * (1.0 + rs)) - 2.0
-
-
-def _checked_s(s: float) -> float:
-    s = float(s)
-    if not 0.0 <= s < 1.0:
-        raise OutOfDomain(f"s must lie in [0, 1), got {s}")
-    return s
-
-
 def _log_eta(xp, s, p):
     rs = xp.sqrt(s)
     return xp.logaddexp(p * xp.log1p(rs), p * xp.log1p(-rs)) - xp.log(2.0)
 
 
-def eta_family(s: float, p: float) -> tuple[float, float]:
-    """Half-sum eta(s) = ((1+sqrt(s))^p + (1-sqrt(s))^p)/2 and the gap function.
-
-    The gap eta^(1/(p-1)) + (1-s) eta^((2-p)/(p(p-1))) - 2 is >= 0 exactly on
-    p < 0 or p > 2 and <= 0 on 0 < p < 2; near p = 1 the explicit limit
-    formula is used.
-    """
-    s, p = _checked_s(s), float(p)
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
-    with backend() as xp:
-        s, pv = xp.asarray(s), xp.asarray(p)
-        log_eta = _log_eta(xp, s, pv)
-        eta = xp.exp(log_eta)
-        if abs(p - 1.0) <= _P1_SWITCH:
-            f = _f1_limit(xp, s)
-        else:
-            f = (
-                xp.exp(log_eta / (pv - 1.0))
-                + xp.exp(xp.log1p(-s) + log_eta * (2.0 - pv) / (pv * (pv - 1.0)))
-                - 2.0
-            )
-    require_finite(p, eta=eta, gap=f)
-    return eta, f
-
-
-def g_rp(s: float, r: float, p: float) -> float:
-    """Gap function with the coupling power replaced by r times the natural one:
-
-        eta^(1/(p-1)) * (1 + ((1-s)/eta^(2/p))^r) - 2.
-
-    r = 1 recovers the gap of ``eta_family``; near s = 0 the leading behavior
-    is p(1-r)s, which drives the sharpness argument.
-    """
-    s, p = _checked_s(s), float(p)
-    if p == 0.0 or p == 1.0:
-        raise ZeroExponent("p in {0, 1} is not admissible here")
-    with backend() as xp:
-        return _g_rp(xp, s, r, p)
-
-
 def _g_rp(xp, s, r, p):
+    """eta^(1/(p-1)) * (1 + ((1-s)/eta^(2/p))^r) - 2, eta = ((1+sqrt(s))^p +
+    (1-sqrt(s))^p)/2.  At r = 1 this is the gap, >= 0 for p < 0 or p > 2 and
+    <= 0 for 0 < p < 2; near s = 0 it is p(1-r)s, which drives sharpness."""
     s, r, pv = xp.asarray(s), xp.asarray(r), xp.asarray(p)
     log_eta = _log_eta(xp, s, pv)
     inner = r * (xp.log1p(-s) - (2.0 / pv) * log_eta)

@@ -34,6 +34,7 @@ from .errors import (
     ExponentOutOfRange,
     InvalidDraw,
     NotPSD,
+    NumericRange,
     UnsupportedExponent,
 )
 from .measure import SLACK, relative_violation
@@ -52,10 +53,11 @@ class PSDStack:
     """Stack of Hermitian positive-semidefinite matrices, shape (n, d, d),
     with cached eigendecompositions.
 
-    Entries must be finite.  Hermiticity is enforced to 1e-12 relative to the
-    spectral norm (max |eigenvalue| of the Hermitian part); eigenvalues above
-    -1e-10 * ||A|| are clamped to zero, anything lower is rejected.  Each check
-    applies to every member, and a failing member is named by its index.
+    Entries must be finite, and so must the eigenvalues of the Hermitian part
+    (NumericRange otherwise).  Hermiticity is enforced to 1e-12 relative to
+    the spectral norm (max |eigenvalue| of the Hermitian part); eigenvalues
+    above -1e-10 * ||A|| are clamped to zero, anything lower is rejected.  Each
+    check applies to every member, and a failing member is named by its index.
     """
 
     __slots__ = ("entries", "eigvals", "eigvecs")
@@ -69,8 +71,11 @@ class PSDStack:
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=(-2, -1)))
         if bad.size:
             raise NotPSD(f"matrix {bad[0]} has a non-finite entry")
-        herm = (arr + _adjoint(arr)) / 2.0
+        herm = arr / 2.0 + _adjoint(arr) / 2.0  # halving first cannot overflow
         lam, vec = np.linalg.eigh(herm)
+        bad = np.flatnonzero(~np.isfinite(lam).all(axis=-1))
+        if bad.size:
+            raise NumericRange(f"matrix {bad[0]} has an eigenvalue beyond the doubles")
         scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
         herm_gap = np.linalg.norm(arr - _adjoint(arr), axis=(-2, -1))
         bad = np.flatnonzero(herm_gap > _HERMITIAN_TOL * scale)
@@ -291,16 +296,16 @@ def schatten_norm(A: PSDMatrix, p: float) -> float:
     """(sum_i lambda_i^p)^(1/p) over the eigenvalues of a PSD matrix, p >= 1."""
     if p < 1.0:
         raise ExponentOutOfRange("Schatten norms are defined for p >= 1 here")
+    return _p_norm(A.eigenvalues(), p)
+
+
+def _p_norm(values: np.ndarray, p: float) -> float:
+    """(sum |v|^p)^(1/p) over all values; NumericRange where that is not a
+    finite double."""
     with np.errstate(over="ignore"):  # checked below
-        norm = np.sum(A.eigenvalues() ** p) ** (1.0 / p)
+        norm = np.sum(np.abs(values) ** p) ** (1.0 / p)
     require_finite(p, norm=norm)
     return float(norm)
-
-
-def _hermitian_abs_norm(M: np.ndarray, p: float) -> float:
-    """Schatten norm of a general Hermitian array via |eigenvalues|."""
-    lam = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return float(np.sum(np.abs(lam) ** p) ** (1.0 / p))
 
 
 class _SpectralPair:
@@ -359,18 +364,6 @@ class _SpectralPair:
             rhs = self.trace(p)
         require_finite(p, lhs=lhs, rhs=rhs)
         return lhs, rhs
-
-
-def mixed_trace_stack(A: PSDStack, B: PSDStack, p: float) -> np.ndarray:
-    """tr[B^(p/4) A^(p/2) B^(p/4)] for every pair of two stacks."""
-    if p <= 0.0:
-        raise ExponentOutOfRange("mixed trace needs p > 0")
-    return _SpectralPair(A, B).trace(p / 2.0)
-
-
-def mixed_trace(A: PSDMatrix, B: PSDMatrix, p: float) -> float:
-    """tr[B^(p/4) A^(p/2) B^(p/4)], summed in the two eigenbases."""
-    return float(mixed_trace_stack(A.stack, B.stack, p)[0])
 
 
 def _is_power_of_two_exponent(p: float) -> bool:
@@ -447,9 +440,8 @@ def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingR
     if not _is_power_of_two_exponent(p):
         raise UnsupportedExponent("doubling is established only for p = 2^k")
     _SpectralPair(A.stack, B.stack)  # raises BadShape unless the shapes match
-    s = float(
-        (np.sum(A.eigenvalues() ** (2 * p)) + np.sum(B.eigenvalues() ** (2 * p))) / 2.0
-    ) ** (1.0 / (2.0 * p))
+    s = _p_norm(np.concatenate((A.eigenvalues(), B.eigenvalues())), 2.0 * p)
+    s *= 0.5 ** (1.0 / (2.0 * p))
     if s == 0.0:
         raise NotPSD("A and B cannot both be zero")
     An = PSDMatrix(np.asarray(A.entries) / s)
@@ -459,12 +451,11 @@ def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingR
     X = (Am @ Bm + Bm @ Am) / 2.0
     Y = Am @ Am + Bm @ Bm
     lhs_2p = schatten_norm(PSDMatrix((Am + Bm) @ (Am + Bm)), p)  # ||A+B||_{2p}^2
-    norm_X = _hermitian_abs_norm(X, p)
+    norm_X = _p_norm(np.linalg.eigvalsh((X + X.conj().T) / 2.0), p)
     norm_Y = schatten_norm(PSDMatrix(Y), p)
     # singular values of AB and BA coincide, so the symmetrization bound reads
     # ||X||_p <= ||AB||_p
-    sv = np.linalg.svd(Am @ Bm, compute_uv=False)
-    norm_AB = float(np.sum(sv ** p) ** (1.0 / p))
+    norm_AB = _p_norm(np.linalg.svd(Am @ Bm, compute_uv=False), p)
 
     lt_lhs, lt_rhs = lieb_thirring_check(An, Bn, p)
     gamma = lt_rhs ** (1.0 / p)

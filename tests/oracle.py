@@ -97,9 +97,3 @@ def psi(t, a):
         t, a = _mpf(t, a)
         return (1 + a) ** (1 + t) - (1 + a * a) ** t - 2 ** t * a
 
-
-def tanh_gap(t, x):
-    """t tanh(x) - tanh(t x)."""
-    with mpmath.workdps(DPS):
-        t, x = _mpf(t, x)
-        return t * mpmath.tanh(x) - mpmath.tanh(t * x)

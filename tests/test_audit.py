@@ -13,16 +13,13 @@ from sharplp.audit import (
     Crossing,
     PatternKind,
     audit_chain,
-    b_of_a,
     chain_eval,
     curvature,
     expected_pattern,
-    fraction_bound,
     h_of_a,
     hyperbolic_point,
     invert_b,
     sign_changes,
-    tanh_gap,
 )
 from sharplp.cli import DEFAULT_C_GRID
 from sharplp.errors import (
@@ -35,19 +32,24 @@ from sharplp.errors import (
     TargetOutOfRange,
     TooCoarse,
 )
-from sharplp.precision import mp_workdps
+from sharplp.precision import FLOAT, mp_workdps
 
 A_STAR = 0.8535533905932737622  # (2 + sqrt 2)/4, where a(1-a) = 1/8
+
+
+def b_of_a(a, p):
+    """b(a) = a^p + (1-a)^p in doubles, for a in (0, 1)."""
+    return audit._b(FLOAT, a, p)
 
 
 def test_b_h_examples():
     assert b_of_a(0.5, 3.0) == pytest.approx(0.25, rel=1e-14)
     assert h_of_a(0.5, 3.0) == pytest.approx(0.125, rel=1e-14)
-    assert b_of_a(0.0, 3.0) == 1.0 and h_of_a(1.0, 3.0) == 0.0
+    assert h_of_a(1.0, 3.0) == 0.0
     assert b_of_a(A_STAR, 3.0) == pytest.approx(0.625, rel=1e-14)
     assert h_of_a(A_STAR, 3.0) == pytest.approx(0.125 ** 1.5, rel=1e-13)
     with pytest.raises(EndpointWithNegativeP):
-        b_of_a(0.0, -1.0)
+        h_of_a(0.0, -1.0)
 
 
 def test_invert_b_examples():
@@ -161,20 +163,6 @@ def test_second_divided_differences_of_H():
             assert sign * d2 >= -1e-10
 
 
-def test_tanh_gap():
-    for t in (-1.0, 0.0, 1.0):
-        assert tanh_gap(t, 1.3) == pytest.approx(0.0, abs=1e-15)
-    assert tanh_gap(2.0, 1.0) == pytest.approx(0.5591607318357129, rel=1e-13)
-    assert tanh_gap(0.5, 1.0) == pytest.approx(-0.08132007928212731, rel=1e-13)
-    for x in (0.1, 1.0, 5.0):
-        for t in np.linspace(-3.0, 3.0, 61):
-            val = tanh_gap(float(t), x)
-            if t > 1.0 or -1.0 < t < 0.0:
-                assert val > 0.0
-            elif 0.0 < t < 1.0 or t < -1.0:
-                assert val < 0.0
-
-
 def test_chain_endpoint_identities():
     for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 2.0, 3.5, 8.0):
         ctx = ChainContext.from_c(c)
@@ -260,23 +248,20 @@ def test_derivative_factorization():
         for t in np.linspace(0.05, 0.95, 19):
             t = float(t)
             x_big = (1.0 + t) ** 2 / (4.0 * t)
-            bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / fraction_bound(ctx, t)
+            bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / audit._fraction_double(c, np.array([t]))[0]
             want = (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
             assert chain_eval("f_prime", ctx, t) == pytest.approx(want, rel=1e-10)
 
 
 def test_fraction_lemma():
+    t = np.linspace(1e-5, 1.0 - 1e-5, 200)
     for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 2.0, 8.0):
-        ctx = ChainContext.from_c(c)
-        for t in np.linspace(1e-5, 1.0 - 1e-5, 200):
-            assert fraction_bound(ctx, float(t)) > 1.0
+        assert np.all(audit._fraction_double(c, t) > 1.0)
 
 
 def test_fraction_bound_divides_through_where_t_to_the_c_overflows():
     # 0.5^-1e6 overflows; divided through by t^c the factor is (1-c)/2
-    assert fraction_bound(ChainContext.from_c(-1e6), 0.5) == 500000.5
-    with pytest.raises(NumericRange):  # (c-1)(1-t)/t beyond the doubles
-        fraction_bound(ChainContext.from_c(1e300), 1e-10)
+    assert audit._fraction_double(-1e6, np.array([0.5]))[0] == 500000.5
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 1000, 10_000])
@@ -319,6 +304,17 @@ def test_sign_changes_finds_crossing_below_truncation():
     assert pattern.crossings[0].bracket_hi <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "name, c, grid_size, kind",
+    [("v", -1000.0, 2000, PatternKind.POSITIVE), ("w", -2000.0, 10_000, PatternKind.NEGATIVE)],
+)
+def test_sign_changes_escalates_non_finite_samples(name, c, grid_size, kind):
+    # for c << 0 one term of an opposite-sign sum overflows first: the double
+    # v at c = -1000 is -inf near t = 0.706, where its 50-digit value is +1.4e307
+    pattern = sign_changes(name, ChainContext.from_c(c), grid_size)
+    assert pattern.overall is kind and pattern.crossings == ()
+
+
 @pytest.mark.parametrize("c", [1e7, 5e8])
 def test_sign_changes_finds_crossing_above_truncation(c):
     # for large c the v'' crossing sits near t = 1 - 1.6/c, inside the
@@ -337,7 +333,8 @@ def test_right_limit_signs_match_fifty_digits():
     for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 3.5, 8.0):
         for name in ("v", "v_dprime", "q_factor", "u"):
             want = audit._right_limit_sign(name, c)
-            assert want == audit._mp_sign(name, c, 1.0 - 1e-9), (name, c)
+            got = audit._mp_chain(name, c, np.array([1.0 - 1e-9]))[0]
+            assert want == audit._sign_of(got), (name, c)
     assert audit._right_limit_sign("v_dprime", 1.0) == 0
     assert audit._right_limit_sign("v_dprime", 0.5) == 0
     assert audit._right_limit_sign("g", 3.0) == 0
@@ -494,11 +491,10 @@ def test_sign_changes_matches_reference_scan(c, monkeypatch):
 @pytest.mark.parametrize("c", [1e300, -1e300, 1e200, 1e100, 1e9, -1e9])
 def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
     # |c| >= 1e9 (p = 1/c within 1e-9 of 0): no grid is evaluated, let alone
-    # escalated, neither sample by sample nor as one array
+    # escalated to 50 digits
     def no_escalation(*args):
         raise AssertionError("a sample was sent to 50 digits")
 
-    monkeypatch.setattr(audit, "_mp_sign", no_escalation)
     monkeypatch.setattr(audit, "_mp_chain", no_escalation)
     with pytest.raises(NumericRange):
         audit_chain(ChainContext.from_c(c))
@@ -516,5 +512,3 @@ def test_batched_escalation_equals_scalar_path(c):
             scalar = [formula(xp, xp.asarray(c), xp.asarray(x)) for x in t.tolist()]
         # _mpf_ is the exact binary value, NaN included
         assert [v._mpf_ for v in batched] == [v._mpf_ for v in scalar], (name, c)
-        signs = [audit._sign_of(v) for v in batched]
-        assert signs == [audit._mp_sign(name, c, x) for x in t.tolist()], (name, c)

@@ -47,9 +47,9 @@ from sharplp.measure import (
 from sharplp.precision import backend
 from sharplp.schatten import (
     PSDStack,
+    _SpectralPair,
     lieb_thirring_check,
     lieb_thirring_stack,
-    mixed_trace_stack,
     random_psd,
     random_psd_stack,
     schatten_verify,
@@ -246,17 +246,15 @@ def test_stack_rejects_one_bad_member():
 def test_stack_trace_checks():
     A = random_psd_stack(3, [1, 2])
     B = random_psd_stack(3, [3, 4])
-    with pytest.raises(ExponentOutOfRange):
-        mixed_trace_stack(A, B, 0.0)
     # sums of non-negative terms: real, and exactly 0 for orthogonal ranges
     P = PSDStack(np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]))
     Q = PSDStack(np.array([np.diag([0.0, 2.0]), np.diag([3.0, 0.0])]))
     for a, b in ((A, B), (B, A), (P, Q)):
-        for p in (0.5, 2.0, 4.0, 16.0):
-            val = mixed_trace_stack(a, b, p)
+        for q in (0.25, 1.0, 2.0, 8.0):  # the mixed trace at p = 2q
+            val = _SpectralPair(a, b).trace(q)
             assert val.dtype == np.float64 and val.shape == (2,)
             assert np.all(val >= 0.0)
-    assert mixed_trace_stack(P, Q, 4.0)[0] == 0.0
+    assert schatten_verify_stack(P, Q, 4.0).mixed[0] == 0.0
 
 
 def test_stack_exponent_and_shape_checks():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,6 @@ from sharplp.schatten import (
     PSDStack,
     lieb_thirring_check,
     lieb_thirring_stack,
-    mixed_trace,
-    mixed_trace_stack,
     random_psd,
     random_psd_stack,
     schatten_doubling,
@@ -42,6 +42,18 @@ def test_psd_rejects_non_finite_entries(bad):
     entries[2, 0, 1] = entries[2, 1, 0] = bad
     with pytest.raises(NotPSD, match="matrix 2 has a non-finite entry"):
         PSDStack(entries)
+
+
+def test_psd_entries_near_the_double_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # (A + A*)/2 would overflow; A/2 + A*/2 is exact
+        np.testing.assert_array_equal(
+            PSDMatrix([[1.5e308, 0.0], [0.0, 1.0]]).eigenvalues(), [1.0, 1.5e308]
+        )
+        entries = np.stack([np.eye(2), np.full((2, 2), 1e308)])  # eigenvalue 2e308
+        with pytest.raises(NumericRange, match="matrix 1 has an eigenvalue beyond"):
+            PSDStack(entries)
 
 
 def test_random_psd():
@@ -79,7 +91,11 @@ def test_traces_beyond_the_doubles_raise_numeric_range():
     with pytest.raises(NumericRange):
         schatten_norm(A, 1000.0)
     with pytest.raises(NumericRange):
-        mixed_trace(A, B, 1e4)
+        schatten_verify(A, B, 1e4, allow_unproven=True)
+
+
+def mixed_trace(A, B, p):
+    return schatten_verify(A, B, p).mixed
 
 
 def test_mixed_trace():
@@ -182,6 +198,15 @@ def test_schatten_doubling():
         schatten_doubling(A, B, 3.0)
 
 
+@pytest.mark.parametrize("p", [256.0, 1024.0])
+def test_schatten_doubling_beyond_the_doubles_raises_without_warning(p):
+    # the eigenvalues' 2p-th powers overflow in the rescaling sum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRange):
+            schatten_doubling(random_psd(3, 1), random_psd(3, 2), p)
+
+
 def test_doubling_consistent_with_verify():
     # the composed bound at 2p dominates the (2p)-level left side
     for seed in range(10):
@@ -231,14 +256,13 @@ def _dense_traces(A, B, p):
 def _assert_eigenbasis_traces(A, B, p, allow_unproven=False):
     """The stack kernels and the scalar wrappers against the dense
     definition, member by member, to 1e-12 relative."""
-    mixed = mixed_trace_stack(A, B, p)
-    np.testing.assert_array_equal(schatten_verify_stack(A, B, p, allow_unproven).mixed, mixed)
+    mixed = schatten_verify_stack(A, B, p, allow_unproven).mixed
     rhs = lieb_thirring_stack(A, B, p)[1]
     for k in range(len(mixed)):
         a, b = PSDMatrix(A.entries[k]), PSDMatrix(B.entries[k])
         want_mixed, want_rhs = _dense_traces(a, b, p)
         scalar = schatten_verify(a, b, p, allow_unproven).mixed
-        for got in (mixed[k], mixed_trace(a, b, p), scalar):
+        for got in (mixed[k], scalar):
             assert got == pytest.approx(want_mixed, rel=1e-12, abs=0.0)
         for got in (rhs[k], lieb_thirring_check(a, b, p)[1]):
             assert got == pytest.approx(want_rhs, rel=1e-12, abs=0.0)
@@ -271,7 +295,7 @@ def test_eigenbasis_traces_of_rank_deficient_members(p):
     B = random_psd_stack(dim, range(6))
     _assert_eigenbasis_traces(A, B, p)
     _assert_eigenbasis_traces(B, A, p)
-    assert mixed_trace_stack(A, B, p)[4] == 0.0  # the zero member
+    assert schatten_verify_stack(A, B, p).mixed[4] == 0.0  # the zero member
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0])
