@@ -17,15 +17,23 @@ against the claimed ones.
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
 at 50 digits on mpf, scalars or object arrays, which is how ``sign_changes``
-escalates its samples.
+escalates its samples.  Every chain function but f, f', g and h is a power
+sum, held as the table of its terms (a_k, b_k) of sum a_k t^(b_k), formed in
+``xp`` and built once per (name, c).  Only v, w, p_quad and b_factor are
+written out.  From v's table come v', v'', q = v''/(2c) and u = t^(3-2c) q;
+from w's, v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's
+t -> 0+ sign is read from its table.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import mpmath
 import numpy as np
 
 from .errors import (
@@ -40,7 +48,7 @@ from .errors import (
     TooCoarse,
     ZeroExponent,
 )
-from .precision import FLOAT, backend, mp_workdps, require_finite
+from .precision import FLOAT, MP, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
 # Samples this close to either end of (0, 1) get their sign confirmed at high
@@ -246,33 +254,30 @@ CHAIN_NAMES = (
 
 @dataclass(frozen=True)
 class ChainContext:
-    """Fixes the exponent through c = 1/p and the truncated scan interval."""
+    """Fixes the exponent through c = 1/p."""
 
     p: float
     c: float
-    delta: float = DEFAULT_DELTA
 
     def __post_init__(self):
         if self.c == 0.0 or self.p == 0.0:
             raise ZeroExponent("c = 1/p requires a nonzero exponent")
         if not math.isclose(self.c * self.p, 1.0, rel_tol=1e-12):
             raise ExponentOutOfRange("ChainContext requires finite c and p with c = 1/p")
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError("delta must lie in (0, 1/2)")
 
     @classmethod
-    def from_c(cls, c: float, delta: float = DEFAULT_DELTA) -> "ChainContext":
+    def from_c(cls, c: float) -> "ChainContext":
         c = float(c)
         if c == 0.0:
             raise ZeroExponent("c = 0 is not admissible")
-        return cls(p=1.0 / c, c=c, delta=delta)
+        return cls(p=1.0 / c, c=c)
 
     @classmethod
-    def from_p(cls, p: float, delta: float = DEFAULT_DELTA) -> "ChainContext":
+    def from_p(cls, p: float) -> "ChainContext":
         p = float(p)
         if p == 0.0:
             raise ZeroExponent("p = 0 is not admissible")
-        return cls(p=p, c=1.0 / p, delta=delta)
+        return cls(p=p, c=1.0 / p)
 
 
 def _fraction(c, t):
@@ -317,101 +322,83 @@ def _chain_h(xp, c, t):
     return c * xp.log(x_big) - xp.log(_fraction(c, t) - 1.0)
 
 
-def _chain_v(xp, c, t):
-    return (
-        t * (2.0 * c * c - 1.0)
-        - t * t * c * c
-        + 2.0 * c * (1.0 - 2.0 * c) * (t ** c - t ** (c + 1.0))
-        + t ** (2.0 * c) * (1.0 - 2.0 * c * c)
-        + (t ** (1.0 + 2.0 * c) - 1.0) * (1.0 - c) ** 2
-        + t ** (2.0 * c - 1.0) * c * c
-    )
+def _d(terms):
+    """d/dt of a table; a constant term drops out."""
+    return tuple((a * b, b - 1.0) for a, b in terms if b != 0.0)
 
 
-def _chain_v_prime(xp, c, t):
-    return (
-        2.0 * c * c - 1.0
-        - 2.0 * c * c * t
-        + 2.0 * c * (1.0 - 2.0 * c) * (c * t ** (c - 1.0) - (c + 1.0) * t ** c)
-        + 2.0 * c * (1.0 - 2.0 * c * c) * t ** (2.0 * c - 1.0)
-        + (1.0 - c) ** 2 * (1.0 + 2.0 * c) * t ** (2.0 * c)
-        + c * c * (2.0 * c - 1.0) * t ** (2.0 * c - 2.0)
-    )
+def _times(terms, k, s):
+    """k t^s times a table."""
+    return tuple((a * k, b + s) for a, b in terms)
 
 
-def _chain_q_factor(xp, c, t):
-    """v''(t)/(2c); for c = 2 it factors as (t-1)(5t^2-16t+8)."""
-    return (
-        -c
-        + c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (c - 2.0)
-        - c * (1.0 - 2.0 * c) * (c + 1.0) * t ** (c - 1.0)
-        + (2.0 * c - 1.0) * (1.0 - 2.0 * c * c) * t ** (2.0 * c - 2.0)
-        + (1.0 - c) ** 2 * (1.0 + 2.0 * c) * t ** (2.0 * c - 1.0)
-        + c * (2.0 * c - 1.0) * (c - 1.0) * t ** (2.0 * c - 3.0)
-    )
+# name -> the table of a power sum at c: its terms (a_k, b_k), the sum of
+# a_k t^(b_k).  Only v, w, p_quad and b_factor are written out; the rest is
+# derived from v and w.  For c = 2, q = v''/(2c) factors as (t-1)(5t^2-16t+8).
+_TABLES: Mapping[str, Callable] = {
+    "v": lambda c: (
+        (2.0 * c * c - 1.0, 1.0),
+        (-c * c, 2.0),
+        (2.0 * c * (1.0 - 2.0 * c), c),
+        (-2.0 * c * (1.0 - 2.0 * c), c + 1.0),
+        (1.0 - 2.0 * c * c, 2.0 * c),
+        ((1.0 - c) ** 2, 1.0 + 2.0 * c),
+        (-((1.0 - c) ** 2), 0.0),
+        (c * c, 2.0 * c - 1.0),
+    ),
+    "v_prime": lambda c: _d(_TABLES["v"](c)),
+    "v_dprime": lambda c: _d(_TABLES["v_prime"](c)),
+    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), 0.0),
+    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, 3.0 - 2.0 * c),
+    "w": lambda c: (
+        (c * (c - 2.0), 0.0),
+        (-(c + 1.0) * c, 1.0),
+        (-2.0 * (1.0 - 2.0 * c * c), c),
+        ((1.0 - c) * (1.0 + 2.0 * c), c + 1.0),
+        (-c * (2.0 * c - 3.0), c - 1.0),
+    ),
+    "v_tprime": lambda c: _times(
+        _TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), c - 3.0
+    ),
+    "m": lambda c: _times(_TABLES["w"](c), -1.0, 1.0 - c),
+    "p_quad": lambda c: (
+        ((c + 1.0) * (1.0 + 2.0 * c), 2.0),
+        (2.0 * (1.0 - 2.0 * c * c), 1.0),
+        (2.0 * c * c - 7.0 * c + 6.0, 0.0),
+    ),
+    "b_factor": lambda c: (
+        (c ** 3 - c, 0.0),
+        (-c * (c + 1.0) * (c - 2.0), 1.0),
+        (2.0 * (2.0 * c - 3.0), 2.0 - c),
+    ),
+}
 
 
-def _chain_v_dprime(xp, c, t):
-    return 2.0 * c * _chain_q_factor(xp, c, t)
+def _table(name: str, xp, c) -> tuple:
+    """The table of ``name`` at c with its entries formed in the backend ``xp``,
+    built once per (name, c) and backend."""
+    return _cached_table(name, c, mpmath.mp.prec if xp is MP else None)
 
 
-def _chain_w(xp, c, t):
-    return (
-        c * (c - 2.0)
-        - (c + 1.0) * c * t
-        - 2.0 * t ** c * (1.0 - 2.0 * c * c)
-        + (1.0 - c) * (1.0 + 2.0 * c) * t ** (c + 1.0)
-        - c * (2.0 * c - 3.0) * t ** (c - 1.0)
-    )
+@functools.lru_cache(maxsize=256)
+def _cached_table(name: str, c, prec: int | None) -> tuple:
+    xp = FLOAT if prec is None else MP  # an MP caller works at precision prec
+    return tuple((xp.asarray(a), xp.asarray(b)) for a, b in _TABLES[name](xp.asarray(c)))
 
 
-def _chain_v_tprime(xp, c, t):
-    return 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (c - 3.0) * _chain_w(xp, c, t)
-
-
-def _chain_p_quad(xp, c, t):
-    return (
-        t * t * (c + 1.0) * (1.0 + 2.0 * c)
-        + 2.0 * t * (1.0 - 2.0 * c * c)
-        + 2.0 * c * c
-        - 7.0 * c
-        + 6.0
-    )
-
-
-def _chain_m(xp, c, t):
-    return (
-        c * (2.0 - c) * t ** (1.0 - c)
-        + c * (c + 1.0) * t ** (2.0 - c)
-        + 2.0 * (1.0 - 2.0 * c * c) * t
-        + (c - 1.0) * (1.0 + 2.0 * c) * t * t
-        + c * (2.0 * c - 3.0)
-    )
-
-
-def _chain_u(xp, c, t):
-    return (
-        -c * t ** (3.0 - 2.0 * c)
-        + c * (1.0 - 2.0 * c) * (c - 1.0) * t ** (1.0 - c)
-        - c * (1.0 - 2.0 * c) * (c + 1.0) * t ** (2.0 - c)
-        + (2.0 * c - 1.0) * (1.0 - 2.0 * c * c) * t
-        + (1.0 - c) ** 2 * (1.0 + 2.0 * c) * t * t
-        + c * (2.0 * c - 1.0) * (c - 1.0)
-    )
-
-
-def _chain_b_factor(xp, c, t):
-    return (
-        c ** 3
-        - c
-        - t * c * (c + 1.0) * (c - 2.0)
-        + 2.0 * t ** (2.0 - c) * (2.0 * c - 3.0)
-    )
+def _power_sum(name: str, xp, c, t):
+    """The sum of the table's terms at t.  t stays left of each product, so no
+    mpf multiplies an object array from the left (see ``_mp_chain``)."""
+    return functools.reduce(operator.add, (t ** b * a for a, b in _table(name, xp, c)))
 
 
 # name -> formula(xp, c, t), one per chain function of t
 _CHAIN_FLOAT: Mapping[str, Callable] = {
-    name: globals()["_chain_" + name] for name in CHAIN_NAMES if name != "h0"
+    name: functools.partial(_power_sum, name)
+    if name in _TABLES
+    else globals()["_chain_" + name]
+    for name in CHAIN_NAMES
+    if name != "h0"
 }
 
 # values at t = 1 for the names whose displayed form is 0/0 there
@@ -472,8 +459,11 @@ class SignChangePattern:
 
 
 def _left_limit_sign(name: str, c: float) -> int:
-    """Sign of the t -> 0+ limit from the chain's stated asymptotics; 0 if none.
+    """Sign of the t -> 0+ limit; 0 if none is known.
 
+    A power sum's sign is read from its 50-digit table: the sign of the
+    coefficient sum at the lowest exponent, moving up while that sum is
+    exactly zero.  f_prime, g and h keep the chain's stated asymptotics.
     Needed because a crossing can fall below the truncated scan interval (for
     small c the g/h crossing sits at astronomically small t).
     """
@@ -483,25 +473,13 @@ def _left_limit_sign(name: str, c: float) -> int:
         hs = -1 if c < 0.5 else 1
         sgn_1c = 1 if c < 1.0 else -1
         return -sgn_1c * hs
-    if name in ("v", "v_dprime"):
-        return 1 if c < 0.5 else -1
-    if name == "q_factor":
-        vd = 1 if c < 0.5 else -1
-        return vd if c > 0.0 else -vd
-    if name == "w":
-        if c < 1.0:
-            # divergent t^(c-1) term, coefficient c(3-2c)
-            return 1 if 0.0 < c else -1
-        return _sign_of(c * (c - 2.0))
-    if name == "m":
-        return 1  # c(2-c) t^(1-c) dominates on the audited range c in (1,2)
-    if name == "u":
-        return -1  # -c t^(3-2c) dominates for c > 2
-    if name == "p_quad":
-        return _sign_of(2.0 * c * c - 7.0 * c + 6.0)
-    if name == "b_factor":
-        return 1  # 2(2c-3) t^(2-c) dominates for c > 2
-    return 0
+    if name not in _TABLES:
+        return 0
+    with mp_workdps() as xp:
+        sums: dict = {}
+        for a, b in _table(name, xp, c):
+            sums[b] = sums.get(b, 0) + a
+    return next((_sign_of(s) for _, s in sorted(sums.items()) if s != 0), 0)
 
 
 def _right_limit_sign(name: str, c: float) -> int:
@@ -521,13 +499,15 @@ def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
     """The chain function at 50 digits on the samples ``t``, as one object
     array of mpf.
 
-    c is a one-entry array, so every operation is array with array: an mpf
-    left of an object array first fails to convert it, and the failure
-    formats the whole array at 50 digits.
+    An mpf left of an object array first fails to convert it, and the failure
+    formats the whole array at 50 digits.  A power sum keeps t on the left;
+    f, f_prime, g and h take c as a one-entry array, so that every operation
+    is array with array.
     """
     with mp_workdps() as xp:
-        cv = np.array([xp.asarray(c)], dtype=object)
-        return _CHAIN_FLOAT[name](xp, cv, xp.asarray(t))
+        if name not in _TABLES:
+            c = np.array([xp.asarray(c)], dtype=object)
+        return _CHAIN_FLOAT[name](xp, c, xp.asarray(t))
 
 
 def _classify(
@@ -586,7 +566,8 @@ def _local_scale(mags: np.ndarray) -> np.ndarray:
 def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
-    A uniform grid on (delta, 1-delta) is scanned in double precision.
+    A uniform grid on (delta, 1-delta), delta = ``DEFAULT_DELTA`` = 1e-6, is
+    scanned in double precision.
     Samples that are not finite, whose magnitude falls under 1e-13 of the
     local 5-sample scale, or that sit in the edge guard bands, are
     re-evaluated at 50 digits before a sign is accepted.  The known t -> 0+
@@ -615,8 +596,7 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
             "t^c is not a usable double on the grid"
         )
 
-    delta = ctx.delta
-    t = np.linspace(delta, 1.0 - delta, grid_size)
+    t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
     with np.errstate(all="ignore"):
         vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, ctx.c, t), dtype=float)
 
@@ -741,6 +721,6 @@ def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
     patterns = {name: entry(name, expected_pattern(name, c)) for name in CORE_AUDIT_NAMES}
     extras = {name: entry(name, kind) for name, kind in _extra_expectations(c).items()}
 
-    t = np.linspace(ctx.delta, 1.0 - ctx.delta, grid_size)
+    t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
     fraction_min = float(np.nanmin(_fraction_double(c, t)))
     return ChainReport(c, patterns, extras, fraction_min, bool(fraction_min > 1.0 - 1e-12))

@@ -77,7 +77,14 @@ class PSDStack:
         if bad.size:
             raise NumericRange(f"matrix {bad[0]} has an eigenvalue beyond the doubles")
         scale = np.maximum(np.abs(lam).max(axis=-1), 1e-300)
-        herm_gap = np.linalg.norm(arr - _adjoint(arr), axis=(-2, -1))
+        # ||A - A*||_F from the halved difference, scaled to entries of at most
+        # 1 before squaring (a square overflows from about 1e154); inf only
+        # where the gap itself is beyond the doubles
+        anti = arr / 2.0 - _adjoint(arr) / 2.0
+        peak = np.abs(anti).max(axis=(-2, -1))
+        unit = np.where(peak > 0.0, peak, 1.0)[:, None, None]
+        with np.errstate(over="ignore"):
+            herm_gap = 2.0 * peak * np.linalg.norm(anti / unit, axis=(-2, -1))
         bad = np.flatnonzero(herm_gap > _HERMITIAN_TOL * scale)
         if bad.size:
             k = bad[0]

@@ -97,3 +97,58 @@ def psi(t, a):
         t, a = _mpf(t, a)
         return (1 + a) ** (1 + t) - (1 + a * a) ** t - 2 ** t * a
 
+
+
+# The auxiliary chain after t = ((1-alpha)/alpha)^p, c = 1/p, in the paper's
+# displayed forms: v', q = v''/(2c), u = t^(3-2c) q and m = -t^(1-c) w.
+
+
+def v_prime(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return (
+            2 * c * c - 1
+            - 2 * c * c * t
+            + 2 * c * (1 - 2 * c) * (c * t ** (c - 1) - (c + 1) * t ** c)
+            + 2 * c * (1 - 2 * c * c) * t ** (2 * c - 1)
+            + (1 - c) ** 2 * (1 + 2 * c) * t ** (2 * c)
+            + c * c * (2 * c - 1) * t ** (2 * c - 2)
+        )
+
+
+def q_factor(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return (
+            -c
+            + c * (1 - 2 * c) * (c - 1) * t ** (c - 2)
+            - c * (1 - 2 * c) * (c + 1) * t ** (c - 1)
+            + (2 * c - 1) * (1 - 2 * c * c) * t ** (2 * c - 2)
+            + (1 - c) ** 2 * (1 + 2 * c) * t ** (2 * c - 1)
+            + c * (2 * c - 1) * (c - 1) * t ** (2 * c - 3)
+        )
+
+
+def u(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return (
+            -c * t ** (3 - 2 * c)
+            + c * (1 - 2 * c) * (c - 1) * t ** (1 - c)
+            - c * (1 - 2 * c) * (c + 1) * t ** (2 - c)
+            + (2 * c - 1) * (1 - 2 * c * c) * t
+            + (1 - c) ** 2 * (1 + 2 * c) * t * t
+            + c * (2 * c - 1) * (c - 1)
+        )
+
+
+def m(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return (
+            c * (2 - c) * t ** (1 - c)
+            + c * (c + 1) * t ** (2 - c)
+            + 2 * (1 - 2 * c * c) * t
+            + (c - 1) * (1 + 2 * c) * t * t
+            + c * (2 * c - 3)
+        )

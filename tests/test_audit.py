@@ -323,7 +323,7 @@ def test_sign_changes_finds_crossing_above_truncation(c):
     pattern = sign_changes("v_dprime", ctx, 1000)
     assert pattern.overall is PatternKind.MINUS_TO_PLUS
     (crossing,) = pattern.crossings
-    assert 1.0 - ctx.delta <= crossing.bracket_lo < crossing.bracket_hi <= 1.0
+    assert 1.0 - audit.DEFAULT_DELTA <= crossing.bracket_lo < crossing.bracket_hi <= 1.0
     assert 1.5 <= c * (1.0 - crossing.bracket_hi) <= 1.7
     assert audit._right_limit_sign("v_dprime", c) == 1
 
@@ -338,6 +338,46 @@ def test_right_limit_signs_match_fifty_digits():
     assert audit._right_limit_sign("v_dprime", 1.0) == 0
     assert audit._right_limit_sign("v_dprime", 0.5) == 0
     assert audit._right_limit_sign("g", 3.0) == 0
+
+
+@pytest.mark.parametrize(
+    "name, c",
+    [("m", 0.3), ("m", 0.7), ("m", 3.5), ("u", 0.3), ("b_factor", -1.0),
+     ("b_factor", 0.3), ("b_factor", 0.7)],
+)
+def test_no_crossing_below_delta_from_a_wrong_left_limit(name, c):
+    # outside the c ranges the audit covers, a t -> 0+ sign written per name
+    # contradicted the function and made up a crossing at (0, 1e-18)
+    pattern = sign_changes(name, ChainContext.from_c(c), 1000)
+    assert all(x.bracket_hi > audit.DEFAULT_DELTA for x in pattern.crossings)
+
+
+# c over [-8, 20] (the grid misses 0, 1/2 and 1), with exponent ties at c = 2
+# and near-ties just beside 2 and 1
+_LIMIT_CS = np.linspace(-8.0, 20.0, 121).tolist() + [
+    -1.0, -0.5, 0.25, 1.5, 2.0, 2.0 + 1e-13, 1.0 + 1e-7
+]
+
+
+@pytest.mark.parametrize("name", list(audit._TABLES) + ["f_prime", "g", "h"])
+def test_left_limit_signs_match_fifty_digits(name):
+    t = np.array([1e-60])
+    for c in _LIMIT_CS:
+        want = audit._left_limit_sign(name, c)
+        if want != 0:
+            assert want == audit._sign_of(audit._mp_chain(name, c, t)[0]), (name, c)
+
+
+@pytest.mark.parametrize("c", [-3.0, 0.3, 0.7, 2.0, 3.5])
+def test_third_derivative_of_v_is_the_w_factorization(c):
+    # d^3/dt^3 of v's table against 2c(1-2c)(c-1) t^(c-3) times w's table
+    with mp_workdps() as xp:
+        d3 = audit._d(audit._d(audit._d(audit._table("v", xp, c))))
+        for t in (0.05, 0.3, 0.8):
+            t = xp.asarray(t)
+            got = sum(t ** b * a for a, b in d3)
+            want = audit._CHAIN_FLOAT["v_tprime"](xp, xp.asarray(c), t)
+            assert abs(got / want - 1) <= 1e-40, (c, t)
 
 
 def test_expected_patterns_table():

@@ -34,7 +34,6 @@ ONES = np.ones((1, 2))
 BAD_INPUTS = {
     "chain_c_subnormal": lambda: ChainContext.from_c(1e-320),
     "chain_c_not_inverse": lambda: ChainContext(p=2.0, c=0.3),
-    "chain_delta": lambda: ChainContext.from_c(0.3, delta=0.7),
     "space_2d": lambda: MeasureSpace([[1.0]]),
     "space_empty": lambda: MeasureSpace([]),
     "space_negative_mass": lambda: MeasureSpace([1.0, -1.0]),

@@ -6,13 +6,15 @@ eta and its gap, g_rp, b, h, the hyperbolic-point fields and psi) in each
 precision mode, at one exponent from each region: p < 0, 0 < p < 1,
 1 < p < 2 and p > 2.  Doubles must agree within relative 1e-12;
 the 50-digit backend within relative 1e-40, which a constant or an input
-rounded to a double on the way would break.
+rounded to a double on the way would break.  The chain functions the audit
+derives from the term tables of v and w (v', q, u and m) are checked the same
+way against the paper's displayed forms.
 """
 import mpmath
 import pytest
 
 import oracle
-from sharplp.audit import _b, h_of_a, hyperbolic_point
+from sharplp.audit import ChainContext, _b, chain_eval, h_of_a, hyperbolic_point
 from sharplp.doubling import psi
 from sharplp.errors import NumericRange
 from sharplp.means import _g_rp, _log_eta, _power_mean, constant_factor
@@ -53,6 +55,23 @@ def test_backends_match_oracle(mode, p, monkeypatch):
         errors = {
             label: abs(mpmath.mpf(got) / want - 1) for label, got, want in _pairs(p)
         }
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= REL_TOL[mode], (worst, mpmath.nstr(errors[worst], 3))
+
+
+# one c per claim region: c < 0, (0, 1/2), (1/2, 1), (1, 2), c > 2; the
+# points stay away from t = 1, where v', q and u vanish, and from the crossings
+@pytest.mark.parametrize("mode", sorted(REL_TOL))
+@pytest.mark.parametrize("c", [-2.5, 0.3, 0.7, 1.3, 3.5])
+def test_derived_chain_matches_oracle(mode, c, monkeypatch):
+    monkeypatch.setenv("SHARPLP_PRECISION", mode)
+    ctx = ChainContext.from_c(c)
+    errors = {}
+    for name in ("v_prime", "q_factor", "u", "m"):
+        for t in (0.05, 0.2, 0.45, 0.7):
+            want = getattr(oracle, name)(t, c)
+            with mpmath.workdps(oracle.DPS):
+                errors[f"{name}({t})"] = abs(mpmath.mpf(chain_eval(name, ctx, t)) / want - 1)
     worst = max(errors, key=errors.get)
     assert errors[worst] <= REL_TOL[mode], (worst, mpmath.nstr(errors[worst], 3))
 

@@ -56,6 +56,14 @@ def test_psd_entries_near_the_double_limit():
             PSDStack(entries)
 
 
+def test_hermiticity_gap_of_large_entries_is_finite():
+    # squaring an entry above about 1e154 overflows; ||A - A*||_F = sqrt(2) 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPSD, match=r"not Hermitian \(gap 1\.414e\+200\)"):
+            PSDMatrix([[0.0, 1e200], [0.0, 0.0]])
+
+
 def test_random_psd():
     a = random_psd(1, 0)
     assert a.dim == 1 and a.eigenvalues()[0] >= 0.0
