@@ -424,6 +424,8 @@ def chain_eval(name: str, ctx: ChainContext, t: float) -> float:
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
+    if ctx.c == 1.0 and name in ("f_prime", "g", "h"):
+        raise ExponentOutOfRange(f"{name} divides by 1 - c, which is 0 at c = 1")
     with backend() as xp:
         if t == 1.0 and name in _AT_ONE:
             return xp.asarray(_AT_ONE[name])
@@ -580,7 +582,8 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     1e-10.  The escalated samples are evaluated together, as one 50-digit
     object array; only the bisection probes go to 50 digits one at a time,
     each as an array of one sample.
-    No Python loop runs over the grid's samples.  Raises NumericRange for
+    No Python loop runs over the grid's samples.  Raises ExponentOutOfRange
+    at c in {1/2, 1}, where the chain degenerates, and NumericRange for
     |c| >= 1e9 (p = 1/c within 1e-9 of 0), where t^c is not a usable double
     anywhere on the grid.
     """
@@ -590,6 +593,11 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
         raise NameRequiresC(f"unknown chain function {name!r}")
     if name == "h0":
         raise NameRequiresC("h0 is a limit value, not a function of t")
+    if ctx.c in (0.5, 1.0):
+        raise ExponentOutOfRange(
+            f"c = {ctx.c!r}: the chain degenerates at c in {{1/2, 1}} (p in {{2, 1}}), "
+            "where f', g and h vanish or divide by 1 - c; no sign pattern is claimed"
+        )
     if abs(ctx.c) >= _C_MAX:
         raise NumericRange(
             f"c = {ctx.c!r}: |c| >= 1e9 puts p = 1/c within 1e-9 of 0, where "
@@ -706,13 +714,9 @@ def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
     The five pattern-bearing functions gate the audit; the intermediate
     helpers are reported informationally only on the parameter ranges where
     the argument uses them.  The always-positive second factor is checked on
-    the same grid.
+    the same grid.  ``sign_changes`` rejects c in {1/2, 1}.
     """
     c = ctx.c
-    if c in (0.0, 0.5, 1.0):
-        raise ExponentOutOfRange(
-            "pattern claims exclude c in {0, 1/2, 1} (p in {1, 2} or infinite)"
-        )
 
     def entry(name: str, expected: PatternKind) -> PatternEntry:
         observed = sign_changes(name, ctx, grid_size)

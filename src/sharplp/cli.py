@@ -180,6 +180,80 @@ def _chain_report_to_dict(report: ChainReport) -> dict[str, Any]:
     }
 
 
+# cells per CSV block (16 p-rows of the default 400-alpha grid): the byte
+# buffers of a block stay a few hundred kB, so peak memory does not grow
+# with n_p
+_BLOCK_CELLS = 6_400
+_VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+
+
+def _ascii_rows(texts: list[str]) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 array, padded with zero bytes."""
+    fixed = np.array([s.encode("ascii") for s in texts])  # dtype S<n> pads with b"\0"
+    return fixed.view(np.uint8).reshape(len(texts), -1)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``f"{v:.17g}"`` of each double of the 1-d array x, as the rows of a
+    uint8 array padded with zero bytes.
+
+    On [0.1, 10) the digits come from numpy.  With s = 1e16 for x >= 1 and
+    1e17 below (both exact doubles), Dekker's two-product gives x*s = hi + lo
+    exactly; hi is an integer of at least 1e16 > 2^53, hence even, so
+    hi + rint(lo) is x*s rounded half-even to the 17-digit integer N that
+    ``%.17g`` prints.  Written as the 18 digits of N*10 (x >= 1) or N
+    (x < 1), the field is ``e0.e1...e17`` less its trailing zeros and then
+    a bare ".".  Other values, non-finite ones included, are formatted one
+    by one.
+    """
+    fast = (x >= 0.1) & (x < 10.0)
+    v = np.where(fast, x, 1.0)
+    big = v >= 1.0
+    s = np.where(big, 1e16, 1e17)
+    hi = v * s
+    vh, vl = _split(v)
+    sh, sl = _split(s)
+    lo = ((vh * sh - hi) + vh * sl + vl * sh) + vl * sl
+    n = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)) * np.where(big, 10, 1)
+    digits = np.empty((19, x.size), np.uint8)
+    seen = np.zeros(x.size, bool)  # a nonzero digit at or right of this one
+    for k in range(18, 1, -1):
+        n, r = np.divmod(n, 10)
+        seen |= r != 0
+        digits[k] = np.where(seen, r + 48, 0)
+    digits[1] = np.where(seen, ord("."), 0)
+    digits[0] = n + 48
+    out = digits.T
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = _ascii_rows([f"{a:.17g}" for a in x[slow].tolist()])
+        out = np.pad(out, ((0, 0), (0, max(0, text.shape[1] - 19))))
+        out[slow] = 0
+        out[slow, : text.shape[1]] = text
+    return out
+
+
+def _csv_lines(alpha_cells: np.ndarray, p_cells: np.ndarray, values: np.ndarray) -> str:
+    """The CSV lines ``alpha,p,value`` of a block of p-rows, alpha fastest,
+    from the zero-padded label rows (each ending in ",")."""
+    rows, n_alpha = values.shape
+    fields = _g17(values.reshape(-1)).reshape(rows, n_alpha, -1)
+    la, lp, lv = alpha_cells.shape[1], p_cells.shape[1], fields.shape[2]
+    lines = np.zeros((rows, n_alpha, la + lp + lv + 1), np.uint8)
+    lines[:, :, :la] = alpha_cells
+    lines[:, :, la : la + lp] = p_cells[:, None]
+    lines[:, :, la + lp : -1] = fields
+    lines[:, :, -1] = ord("\n")
+    flat = lines.reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
 def _run_contour(config: CommandConfig) -> int:
     o = config.options
     if o["n_alpha"] < 2 or o["n_p"] < 2:
@@ -195,21 +269,17 @@ def _run_contour(config: CommandConfig) -> int:
         o["n_alpha"], o["n_p"],
     )
     if config.format == "csv":
-        # one p-row block at a time; the alpha labels are formatted once
-        alpha_labels = [f"{a:.17g}," for a in alphas.tolist()]
+        # one block of p-rows at a time; the labels are formatted once
+        alpha_cells = _ascii_rows([f"{a:.17g}," for a in alphas.tolist()])
+        p_cells = _ascii_rows([f"{p:.17g}," for p in ps.tolist()])
+        block = max(1, _BLOCK_CELLS // alphas.size)
         with _output(config.out_path) as fh:
             fh.write("alpha,p,value\n")
-            for p, row in zip(ps.tolist(), values):
-                p_label = f"{p:.17g},"
-                fh.write("".join([
-                    f"{a}{p_label}{v:.17g}\n" for a, v in zip(alpha_labels, row.tolist())
-                ]))
+            for i in range(0, ps.size, block):
+                fh.write(_csv_lines(alpha_cells, p_cells[i : i + block], values[i : i + block]))
     else:
-        rows = [
-            [float(a), float(p), float(values[i, j])]
-            for i, p in enumerate(ps)
-            for j, a in enumerate(alphas)
-        ]
+        grid = np.broadcast_arrays(alphas[None, :], ps[:, None], values)
+        rows = np.stack(grid, axis=-1).reshape(-1, 3).tolist()
         _write_output(
             _json_text({"header": ["alpha", "p", "value"], "rows": rows}),
             config.out_path,

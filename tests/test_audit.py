@@ -286,6 +286,24 @@ def test_sign_changes_rejects_coarse_grid():
         sign_changes("v_dprime", ctx, 500)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0])
+@pytest.mark.parametrize("name", [n for n in CHAIN_NAMES if n != "h0"])
+def test_sign_changes_rejects_degenerate_c(name, c):
+    # at c = 1/2 f', g and h vanish identically; at c = 1 they divide by 1 - c
+    with pytest.raises(ExponentOutOfRange, match="degenerates"):
+        sign_changes(name, ChainContext.from_c(c), 1000)
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("name", ["f_prime", "g", "h"])
+def test_chain_eval_rejects_c_one(name, mode, monkeypatch):
+    monkeypatch.setenv("SHARPLP_PRECISION", mode)
+    for t in (1e-3, 0.5, 1.0):
+        with pytest.raises(ExponentOutOfRange):
+            chain_eval(name, ChainContext.from_c(1.0), t)
+    assert chain_eval("f", ChainContext.from_c(1.0), 0.5) == 0.0
+
+
 def test_sign_changes_chain_examples():
     pattern = sign_changes("f_prime", ChainContext.from_c(0.3), 2000)
     assert pattern.overall is PatternKind.PLUS_TO_MINUS
