@@ -18,11 +18,17 @@ Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
 at 50 digits on mpf, scalars or object arrays, which is how ``sign_changes``
 escalates its samples.  Every chain function but f, f', g and h is a power
-sum, held as the table of its terms (a_k, b_k) of sum a_k t^(b_k), formed in
-``xp`` and built once per (name, c).  Only v, w, p_quad and b_factor are
-written out.  From v's table come v', v'', q = v''/(2c) and u = t^(3-2c) q;
-from w's, v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's
-t -> 0+ sign is read from its table.
+sum, held as the table of its terms: a term (a, i, j) is a t^(i + j c) with
+small integers i and j and a formed in ``xp``, and a table is built once per
+(name, c).  Only v, w, p_quad and b_factor are written out.  From v's table
+come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
+v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's t -> 0+
+sign is read from its table.
+
+A 50-digit power is an exp and a log, so each is taken once: a power sum
+takes t^c once per sample and builds every t^i (t^c)^j from it by
+multiplication (an integer exponent stays one t ** b), and f', g and h take
+t^c once too.  Doubles keep one numpy power per term.
 """
 from __future__ import annotations
 
@@ -280,15 +286,16 @@ class ChainContext:
         return cls(p=p, c=1.0 / p)
 
 
-def _fraction(c, t):
-    """(1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
-    return (1.0 - c) * (t ** c + 1.0) * (1.0 - t) / (t ** c - t)
+def _fraction(c, t, tc):
+    """(1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor,
+    with ``tc`` = t^c."""
+    return (1.0 - c) * (tc + 1.0) * (1.0 - t) / (tc - t)
 
 
 def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
     """``_fraction`` on doubles, divided through by t^c where t^c overflows."""
     with np.errstate(all="ignore"):
-        fraction = _fraction(c, t)
+        fraction = _fraction(c, t, t ** c)
         lost = ~np.isfinite(fraction)
         tl = t[lost]
         fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
@@ -306,76 +313,90 @@ def _chain_f(xp, c, t):
 
 def _chain_f_prime(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    bracket = 1.0 / (x_big ** c + 1.0) - (t ** c - t) / (
-        (1.0 - c) * (t ** c + 1.0) * (1.0 - t)
-    )
+    tc = t ** c
+    bracket = 1.0 / (x_big ** c + 1.0) - (tc - t) / ((1.0 - c) * (tc + 1.0) * (1.0 - t))
     return (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
 
 
 def _chain_g(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return x_big ** c - (_fraction(c, t) - 1.0)
+    return x_big ** c - (_fraction(c, t, t ** c) - 1.0)
 
 
 def _chain_h(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return c * xp.log(x_big) - xp.log(_fraction(c, t) - 1.0)
+    return c * xp.log(x_big) - xp.log(_fraction(c, t, t ** c) - 1.0)
+
+
+def _terms(c, *rows):
+    """The terms (a, b, i, j) of a written-out table from its rows (a, i, j):
+    a t^b with b = i + j c, i and j small integers."""
+    return tuple((a, i + j * c, i, j) for a, i, j in rows)
 
 
 def _d(terms):
     """d/dt of a table; a constant term drops out."""
-    return tuple((a * b, b - 1.0) for a, b in terms if b != 0.0)
+    return tuple((a * b, b - 1.0, i - 1, j) for a, b, i, j in terms if b != 0.0)
 
 
-def _times(terms, k, s):
-    """k t^s times a table."""
-    return tuple((a * k, b + s) for a, b in terms)
+def _times(terms, k, c, i, j):
+    """k t^(i + j c) times a table."""
+    s = i + j * c
+    return tuple((a * k, b + s, bi + i, bj + j) for a, b, bi, bj in terms)
 
 
-# name -> the table of a power sum at c: its terms (a_k, b_k), the sum of
-# a_k t^(b_k).  Only v, w, p_quad and b_factor are written out; the rest is
-# derived from v and w.  For c = 2, q = v''/(2c) factors as (t-1)(5t^2-16t+8).
+# name -> the table of a power sum at c: its terms (a, b, i, j), the sum of
+# a t^b over them, where b = i + j c with small integers i and j.  b is formed
+# in the backend by the steps below (so doubles keep the roundings of b - 1
+# and b + s); (i, j) is exact and lets 50 digits take t^c once per sample
+# (see ``_power_sum``).  Only v, w, p_quad and b_factor are written out; the
+# rest is derived from v and w.  For c = 2, q = v''/(2c) factors as
+# (t-1)(5t^2-16t+8).
 _TABLES: Mapping[str, Callable] = {
-    "v": lambda c: (
-        (2.0 * c * c - 1.0, 1.0),
-        (-c * c, 2.0),
-        (2.0 * c * (1.0 - 2.0 * c), c),
-        (-2.0 * c * (1.0 - 2.0 * c), c + 1.0),
-        (1.0 - 2.0 * c * c, 2.0 * c),
-        ((1.0 - c) ** 2, 1.0 + 2.0 * c),
-        (-((1.0 - c) ** 2), 0.0),
-        (c * c, 2.0 * c - 1.0),
+    "v": lambda c: _terms(
+        c,
+        (2.0 * c * c - 1.0, 1, 0),
+        (-c * c, 2, 0),
+        (2.0 * c * (1.0 - 2.0 * c), 0, 1),
+        (-2.0 * c * (1.0 - 2.0 * c), 1, 1),
+        (1.0 - 2.0 * c * c, 0, 2),
+        ((1.0 - c) ** 2, 1, 2),
+        (-((1.0 - c) ** 2), 0, 0),
+        (c * c, -1, 2),
     ),
     "v_prime": lambda c: _d(_TABLES["v"](c)),
     "v_dprime": lambda c: _d(_TABLES["v_prime"](c)),
-    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), 0.0),
-    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, 3.0 - 2.0 * c),
-    "w": lambda c: (
-        (c * (c - 2.0), 0.0),
-        (-(c + 1.0) * c, 1.0),
-        (-2.0 * (1.0 - 2.0 * c * c), c),
-        ((1.0 - c) * (1.0 + 2.0 * c), c + 1.0),
-        (-c * (2.0 * c - 3.0), c - 1.0),
+    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), c, 0, 0),
+    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, c, 3, -2),
+    "w": lambda c: _terms(
+        c,
+        (c * (c - 2.0), 0, 0),
+        (-(c + 1.0) * c, 1, 0),
+        (-2.0 * (1.0 - 2.0 * c * c), 0, 1),
+        ((1.0 - c) * (1.0 + 2.0 * c), 1, 1),
+        (-c * (2.0 * c - 3.0), -1, 1),
     ),
     "v_tprime": lambda c: _times(
-        _TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), c - 3.0
+        _TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), c, -3, 1
     ),
-    "m": lambda c: _times(_TABLES["w"](c), -1.0, 1.0 - c),
-    "p_quad": lambda c: (
-        ((c + 1.0) * (1.0 + 2.0 * c), 2.0),
-        (2.0 * (1.0 - 2.0 * c * c), 1.0),
-        (2.0 * c * c - 7.0 * c + 6.0, 0.0),
+    "m": lambda c: _times(_TABLES["w"](c), -1.0, c, 1, -1),
+    "p_quad": lambda c: _terms(
+        c,
+        ((c + 1.0) * (1.0 + 2.0 * c), 2, 0),
+        (2.0 * (1.0 - 2.0 * c * c), 1, 0),
+        (2.0 * c * c - 7.0 * c + 6.0, 0, 0),
     ),
-    "b_factor": lambda c: (
-        (c ** 3 - c, 0.0),
-        (-c * (c + 1.0) * (c - 2.0), 1.0),
-        (2.0 * (2.0 * c - 3.0), 2.0 - c),
+    "b_factor": lambda c: _terms(
+        c,
+        (c ** 3 - c, 0, 0),
+        (-c * (c + 1.0) * (c - 2.0), 1, 0),
+        (2.0 * (2.0 * c - 3.0), 2, -1),
     ),
 }
 
 
 def _table(name: str, xp, c) -> tuple:
-    """The table of ``name`` at c with its entries formed in the backend ``xp``,
+    """The table of ``name`` at c with a and b formed in the backend ``xp``,
     built once per (name, c) and backend."""
     return _cached_table(name, c, mpmath.mp.prec if xp is MP else None)
 
@@ -383,13 +404,32 @@ def _table(name: str, xp, c) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _cached_table(name: str, c, prec: int | None) -> tuple:
     xp = FLOAT if prec is None else MP  # an MP caller works at precision prec
-    return tuple((xp.asarray(a), xp.asarray(b)) for a, b in _TABLES[name](xp.asarray(c)))
+    terms = _TABLES[name](xp.asarray(c))
+    return tuple((xp.asarray(a), xp.asarray(b), i, j) for a, b, i, j in terms)
 
 
 def _power_sum(name: str, xp, c, t):
-    """The sum of the table's terms at t.  t stays left of each product, so no
-    mpf multiplies an object array from the left (see ``_mp_chain``)."""
-    return functools.reduce(operator.add, (t ** b * a for a, b in _table(name, xp, c)))
+    """The sum of the table's terms at t.
+
+    Doubles take t ** b for every term, one numpy power each.  At 50 digits
+    a power is an exp and a log, so t^c is taken once per sample and each
+    t^b is t^i (t^c)^j, built by multiplication.  An integer-valued b stays
+    one t ** b, which rounds once where the product rounds twice; when c is
+    an integer, so is every b, and t^c is not taken at all.  t stays left of
+    each product, so no mpf multiplies an object array from the left (see
+    ``_mp_chain``).
+    """
+    terms = _table(name, xp, c)
+    c = xp.asarray(c)
+    tc = None if xp is FLOAT or mpmath.isint(c) else t ** c
+
+    def power(b, i, j):
+        if tc is None or mpmath.isint(b):
+            return t ** b
+        tcj = tc if j == 1 else tc ** j  # (t^c)^1 and a factor t^0 are exact
+        return tcj if i == 0 else t ** i * tcj
+
+    return functools.reduce(operator.add, (power(b, i, j) * a for a, b, i, j in terms))
 
 
 # name -> formula(xp, c, t), one per chain function of t
@@ -479,7 +519,7 @@ def _left_limit_sign(name: str, c: float) -> int:
         return 0
     with mp_workdps() as xp:
         sums: dict = {}
-        for a, b in _table(name, xp, c):
+        for a, b, _, _ in _table(name, xp, c):
             sums[b] = sums.get(b, 0) + a
     return next((_sign_of(s) for _, s in sorted(sums.items()) if s != 0), 0)
 

@@ -23,7 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .inequality import main_sides_batch
-from .means import _agm_chain, _power_mean, constant_factors, sharpness_probe
+from .means import (
+    _agm_chain,
+    _log_mean_gap,
+    _power_mean,
+    constant_factors,
+    sharpness_probe,
+)
 from .measure import SLACK, MeasureSpace, SimpleFunction, forward_region, relative_violation
 from .errors import InvalidDraw, NumericRange
 from .precision import backend, require_finite
@@ -309,8 +315,9 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
             pv = xp.asarray(p)
             for _ in range(trials):
                 x, y = _positive_uniform(rng.random(2))
+                logs = _log_mean_gap(xp, x, y)  # every mean below is formed from these
                 if p > 2.0:
-                    chain = _agm_chain(xp, x, y, p)
+                    chain = _agm_chain(xp, x, y, p, logs)
                     terms = chain.terms
                     ordered = all(terms[i] >= terms[i + 1] - 1e-12 for i in range(3))
                     failures += not (ordered and terms[3] >= -1e-12)
@@ -321,9 +328,9 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
                             "Mp": chain.Mp, "Mp_dual": chain.Mp_dual,
                             "terms": list(terms),
                         }
-                m1 = _power_mean(xp, x, y, 1.0)
-                mp_ = _power_mean(xp, x, y, p)
-                mmp = _power_mean(xp, x, y, -p)
+                m1 = _power_mean(xp, logs, 1.0)
+                mp_ = chain.Mp if p > 2.0 else _power_mean(xp, logs, p)
+                mmp = _power_mean(xp, logs, -p)
                 with np.errstate(over="ignore"):  # a double overflows to inf
                     lhs = xp.asarray(m1) ** pv
                     rhs = xp.asarray((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_

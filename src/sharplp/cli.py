@@ -180,7 +180,7 @@ def _chain_report_to_dict(report: ChainReport) -> dict[str, Any]:
     }
 
 
-# cells per CSV block (16 p-rows of the default 400-alpha grid): the byte
+# cells per CSV or JSON block (16 p-rows of the default 400-alpha grid): the
 # buffers of a block stay a few hundred kB, so peak memory does not grow
 # with n_p
 _BLOCK_CELLS = 6_400
@@ -278,12 +278,24 @@ def _run_contour(config: CommandConfig) -> int:
             for i in range(0, ps.size, block):
                 fh.write(_csv_lines(alpha_cells, p_cells[i : i + block], values[i : i + block]))
     else:
-        grid = np.broadcast_arrays(alphas[None, :], ps[:, None], values)
-        rows = np.stack(grid, axis=-1).reshape(-1, 3).tolist()
-        _write_output(
-            _json_text({"header": ["alpha", "p", "value"], "rows": rows}),
-            config.out_path,
-        )
+        # the text of _json_text({"header": [...], "rows": [[alpha, p, value],
+        # ...]}), one block of p-rows at a time: json writes a finite float as
+        # its repr, and factor_grid returns finite values only
+        alpha_texts = [repr(a) for a in alphas.tolist()]
+        p_texts = [repr(p) for p in ps.tolist()]
+        block = max(1, _BLOCK_CELLS // alphas.size)
+        with _output(config.out_path) as fh:
+            fh.write('{\n  "header": [\n    "alpha",\n    "p",\n    "value"\n  ],\n')
+            fh.write('  "rows": [\n')
+            for i in range(0, ps.size, block):
+                rows = zip(p_texts[i : i + block], values[i : i + block].tolist())
+                fh.write(",\n" if i else "")
+                fh.write(",\n".join(
+                    f"    [\n      {a},\n      {p},\n      {v!r}\n    ]"
+                    for p, row in rows
+                    for a, v in zip(alpha_texts, row)
+                ))
+            fh.write("\n  ]\n}\n")
     return 0
 
 

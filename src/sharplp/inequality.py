@@ -40,10 +40,10 @@ from .measure import (
     RegionKind,
     SimpleFunction,
     _check_aligned,
+    _checked_rows,
     check_stack,
     forward_region,
-    overlap_rows,
-    power_rows,
+    masked_power_rows,
     relative_violation,
 )
 from .precision import backend, require_finite
@@ -135,13 +135,19 @@ def main_sides_batch(
     g, _, _ = check_stack(g, weights, mask)
     _validate_pair(f[mask], g[mask], p)
     with backend() as xp:
-        lhs = power_rows(xp, xp.asarray(f) + xp.asarray(g), weights, mask, p)
-        F = power_rows(xp, f, weights, mask, p)
-        G = power_rows(xp, g, weights, mask, p)
+        # each point's values go to the backend once (padding never does), and
+        # (f+g)^p, f^p, g^p and (fg)^(p/2) are its only powers
+        fm, gm = (xp.asarray(np.abs(a[mask])) for a in (f, g))
+        wm = xp.asarray(weights[mask])
+        lhs = masked_power_rows(xp, fm + gm, wm, mask, p)
+        F = masked_power_rows(xp, fm, wm, mask, p)
+        G = masked_power_rows(xp, gm, wm, mask, p)
         S = F + G
         if np.any(S == 0.0):
             raise ZeroNorm("f and g cannot both vanish identically")
-        ov = overlap_rows(xp, f, g, weights, p, mask)
+        # fg must be finite, and positive for p < 0, in doubles, as overlap_rows asks
+        _checked_rows(f * g, weights, mask, p / 2.0)
+        ov = masked_power_rows(xp, fm * gm, wm, mask, p / 2.0, root=True)
         with np.errstate(over="ignore", invalid="ignore"):
             pv = xp.asarray(p)  # exponents formed in the backend, too
             gamma_tilde = ov * (S / 2.0) ** (-2.0 / pv)
@@ -151,7 +157,8 @@ def main_sides_batch(
             gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
             carbery_rhs = gamma.copy()
             # the norms are the 1/p-th roots of the functionals (in doubles
-            # above |p| = 8 they may differ from power_rows' roots in the last bit)
+            # above |p| = 8 they may differ from masked_power_rows' roots in
+            # the last bit)
             root = 1.0 / pv
             gamma[both] = ov[both] / (F[both] ** root * G[both] ** root)
             carbery_rhs[both] = (1.0 + gamma[both]) ** (pv - 1.0) * S[both]

@@ -52,11 +52,17 @@ class SharpnessResult:
     witness_s: float | None
 
 
-def _power_mean(xp, x, y, q):
-    """((x^q + y^q)/2)^(1/q) for x, y > 0, the geometric mean at q = 0, as
-    exp(mid + logcosh(q*d)/q) with mid, d the mean and half-gap of the logs."""
+def _log_mean_gap(xp, x, y):
+    """(mid, d): the mean and the half-gap of log x and log y, for x, y > 0,
+    from which ``_power_mean`` forms every power mean of x and y."""
     lx, ly = xp.log(xp.asarray(x)), xp.log(xp.asarray(y))
-    mid, d = 0.5 * (lx + ly), 0.5 * (lx - ly)
+    return 0.5 * (lx + ly), 0.5 * (lx - ly)
+
+
+def _power_mean(xp, logs, q):
+    """((x^q + y^q)/2)^(1/q), the geometric mean at q = 0, as
+    exp(mid + logcosh(q*d)/q) from ``logs`` = ``_log_mean_gap(xp, x, y)``."""
+    mid, d = logs
     if q == 0.0:
         mean = xp.exp(mid)
     else:
@@ -105,15 +111,16 @@ def constant_factor(alpha: float, p: float, q_exponent: float) -> float:
     return constant_factors(float(alpha), float(p), float(q_exponent)).item()
 
 
-def _agm_chain(xp, x, y, p) -> AGMChain:
+def _agm_chain(xp, x, y, p, logs) -> AGMChain:
     """1-(A/Mp)^p' >= (1-(G/Mp)^2)/2 >= (1-(G/Mp')^2)/2 >= 1-(A/Mp')^p for
-    x, y > 0 and p > 2, p' = p/(p-1); the terms vanish together at x = y."""
+    x, y > 0 and p > 2, p' = p/(p-1); the terms vanish together at x = y.
+    ``logs`` is ``_log_mean_gap(xp, x, y)``."""
     p_dual = p / (p - 1.0)
     x, y = xp.asarray(x), xp.asarray(y)
     A = 0.5 * (x + y)
     G = xp.sqrt(x * y)
-    Mp = _power_mean(xp, x, y, p)
-    Mp_dual = _power_mean(xp, x, y, p_dual)
+    Mp = _power_mean(xp, logs, p)
+    Mp_dual = _power_mean(xp, logs, p_dual)
     terms = (
         1.0 - (A / Mp) ** p_dual,
         0.5 * (1.0 - (G / Mp) ** 2),

@@ -9,9 +9,11 @@ the contract is the formula.
 The ``*_rows`` kernels evaluate these over a stack of instances at once:
 (instances, points) arrays of values and weights, zero-padded, with a mask
 marking the points of each row.  The scalar functions wrap them with one row.
-``power_rows`` is the one formula for both backends of ``precision``: the sum
-of w |v|^p over the masked entries of each row, in doubles or at 50 digits;
-only doubles switch to per-term logs above |p| = 8, to stay in range.
+``masked_power_rows`` is the one formula for both backends of ``precision``:
+the sum of w v^p over the masked entries of each row, in doubles or at 50
+digits, from those entries alone, so a caller converts each value to the
+backend once; only doubles switch to per-term logs above |p| = 8, to stay in
+range.
 
 Every check of the toolkit passes when ``relative_violation`` of its two
 sides, in the direction ``forward_region`` gives, is at most ``SLACK``.
@@ -197,11 +199,13 @@ def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
 
 
-def _log_functional_rows(values, weights, mask, p: float) -> np.ndarray:
+def _log_functional_rows(v, w, mask, p: float) -> np.ndarray:
     """Row-wise log of the power functional from per-term logs
-    log(w_i) + p*log|f_i|; -inf where it vanishes (only reachable for p > 0).
-    Zeros and padding raise divide warnings unless the caller silences them."""
-    logs = np.where(mask, np.log(weights) + p * np.log(np.abs(values)), -np.inf)
+    log(w) + p*log(v) of the entries ``mask`` marks; -inf where it vanishes
+    (only reachable for p > 0).  Zeros raise divide warnings unless the
+    caller silences them."""
+    logs = np.full(mask.shape, -np.inf)
+    logs[mask] = np.log(w) + p * np.log(v)
     return _logsumexp_rows(logs)
 
 
@@ -215,21 +219,29 @@ def _checked_rows(values, weights, mask, p: float):
 def power_rows(xp, values, weights, mask, p: float, root: bool = False) -> np.ndarray:
     """Row-wise power functional, or its 1/p-th root, of a stack that
     ``check_stack`` accepted, for p != 0 and (p < 0) positive values, in
-    backend ``xp``.
+    backend ``xp``: ``masked_power_rows`` of its entries."""
+    v, w = np.abs(values[mask]), weights[mask]
+    return masked_power_rows(xp, xp.asarray(v), xp.asarray(w), mask, p, root)
 
-    Only the masked entries are evaluated (0^p is infinite for p < 0).  In
+
+def masked_power_rows(xp, v, w, mask, p: float, root: bool = False) -> np.ndarray:
+    """Row-wise sum of w v^p, or its 1/p-th root, from the entries of a
+    stack alone: ``v`` >= 0 and ``w`` are the values and weights where
+    ``mask`` is True, in row order, already in backend ``xp``.
+
+    Padding never reaches the backend (0^p is infinite for p < 0).  In
     doubles, |p| > 8 is evaluated from per-term logs; at 50 digits the result
     is an object array of mpf.  Raises NumericRange when a double result is
     not finite.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if xp is FLOAT and abs(p) > LOG_DOMAIN_THRESHOLD:
-            ls = _log_functional_rows(values, weights, mask, p)
+            ls = _log_functional_rows(v, w, mask, p)
             out = np.exp(ls / p if root else ls)
         else:
             pw = xp.asarray(p)
-            masked = xp.asarray(weights[mask]) * xp.asarray(np.abs(values[mask])) ** pw
-            terms = np.zeros(values.shape, dtype=masked.dtype)
+            masked = w * v ** pw
+            terms = np.zeros(mask.shape, dtype=masked.dtype)
             terms[mask] = masked
             total = terms.sum(axis=1)
             out = total ** (1.0 / pw) if root else total
@@ -273,7 +285,9 @@ def overlap_rows(xp, f, g, weights, p: float, mask=None) -> np.ndarray:
     f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     _, weights, mask, half = _checked_rows(f * g, weights, mask, p / 2.0)
     # the product is checked in doubles and formed in the backend
-    return power_rows(xp, xp.asarray(f) * xp.asarray(g), weights, mask, half, root=True)
+    fm, gm = (xp.asarray(np.abs(a[mask])) for a in (f, g))
+    wm = xp.asarray(weights[mask])
+    return masked_power_rows(xp, fm * gm, wm, mask, half, root=True)
 
 
 def lp_functional(f: SimpleFunction, space: MeasureSpace, p: float) -> float:

@@ -152,3 +152,93 @@ def m(t, c):
             + (c - 1) * (1 + 2 * c) * t * t
             + c * (2 * c - 3)
         )
+
+
+# v and w as displayed, and f', g and h through X = (1+t)^2/(4t) and the second
+# factor F = (1-c)(t^c+1)(1-t)/(t^c-t).  Each returns the terms whose sum is the
+# function, so that a check can measure its error against the largest term
+# where the sum cancels (near t = 1, where all five vanish).
+
+
+def v_terms(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return [
+            (2 * c * c - 1) * t,
+            -c * c * t * t,
+            2 * c * (1 - 2 * c) * t ** c,
+            -2 * c * (1 - 2 * c) * t ** (c + 1),
+            (1 - 2 * c * c) * t ** (2 * c),
+            (1 - c) ** 2 * t ** (1 + 2 * c),
+            -((1 - c) ** 2),
+            c * c * t ** (2 * c - 1),
+        ]
+
+
+def w_terms(t, c):
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        return [
+            c * (c - 2),
+            -c * (c + 1) * t,
+            -2 * (1 - 2 * c * c) * t ** c,
+            (1 - c) * (1 + 2 * c) * t ** (c + 1),
+            -c * (2 * c - 3) * t ** (c - 1),
+        ]
+
+
+def _x_and_f(t, c):
+    X = (1 + t) ** 2 / (4 * t)
+    return X, (1 - c) * (t ** c + 1) * (1 - t) / (t ** c - t)
+
+
+def f_prime_terms(t, c):
+    """f' = (1-c)(1-t)/(t(1+t)) (1/(X^c+1) - 1/F)."""
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        X, F = _x_and_f(t, c)
+        scale = (1 - c) * (1 - t) / (t * (1 + t))
+        return [scale / (X ** c + 1), -scale / F]
+
+
+def g_terms(t, c):
+    """g = X^c - (F - 1)."""
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        X, F = _x_and_f(t, c)
+        return [X ** c, -F, mpmath.mpf(1)]
+
+
+def h_terms(t, c):
+    """h = c log X - log(F - 1), with F - 1 = N/D for D = t^c - t taken as
+    log|N| - log|D|: near t = 1, F - 1 comes from D ~ (1-c)(1-t), and log|D|
+    is the size of what cancels."""
+    with mpmath.workdps(DPS):
+        t, c = _mpf(t, c)
+        X, _ = _x_and_f(t, c)
+        D = t ** c - t
+        N = (1 - c) * (t ** c + 1) * (1 - t) - D
+        return [c * mpmath.log(X), -mpmath.log(abs(N)), mpmath.log(abs(D))]
+
+
+def sides(f, g, w, p):
+    """Both sides of the bound on one instance, with its coupling ratios:
+    lhs = sum w (f+g)^p, S = sum w (f^p + g^p), N = (sum w (fg)^(p/2))^(2/p),
+    gamma_tilde = N (S/2)^(-2/p), rhs = (1 + gamma_tilde)^(p-1) S,
+    gamma = N / (||f||_p ||g||_p) and Carbery's rhs (1 + gamma)^(p-1) S."""
+    with mpmath.workdps(DPS):
+        p = mpmath.mpf(p)
+        points = [_mpf(*point) for point in zip(f, g, w)]
+        lhs = mpmath.fsum(wi * (fi + gi) ** p for fi, gi, wi in points)
+        F = mpmath.fsum(wi * fi ** p for fi, _, wi in points)
+        G = mpmath.fsum(wi * gi ** p for _, gi, wi in points)
+        N = mpmath.fsum(wi * (fi * gi) ** (p / 2) for fi, gi, wi in points) ** (2 / p)
+        gamma_tilde = N * ((F + G) / 2) ** (-2 / p)
+        gamma = N / (F ** (1 / p) * G ** (1 / p))
+        return {
+            "lhs": lhs,
+            "rhs": (1 + gamma_tilde) ** (p - 1) * (F + G),
+            "gamma_tilde": gamma_tilde,
+            "gamma": gamma,
+            "carbery_rhs": (1 + gamma) ** (p - 1) * (F + G),
+        }

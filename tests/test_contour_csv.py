@@ -1,4 +1,5 @@
-"""The contour CSV writer: every field is exactly ``f"{x:.17g}"``."""
+"""The contour writers: every CSV field is exactly ``f"{x:.17g}"``, and the
+JSON text is exactly what ``json.dumps`` makes of the whole grid."""
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,35 @@ def test_contour_csv_matches_per_value_format(argv, tmp_path):
     config = cli.parse_config(["contour", *argv, "--out", str(out)])
     assert cli.run(config) == 0
     _assert_same_text(out.read_text(encoding="ascii"), _reference_csv(config.options))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--alpha-min", "0.01", "--alpha-max", "0.99", "--p-min", "-40", "--p-max", "-0.5",
+         "--na", "50", "--np", "50"],
+        ["--alpha-min", "0", "--na", "7", "--np", "5"],
+        ["--na", "400", "--np", "37"],
+    ],
+    ids=["default", "negative_p", "window_7x5", "partial_block"],
+)
+def test_contour_json_matches_one_json_dumps(argv, tmp_path):
+    # the rows are written in blocks; the reference renders the whole payload at once
+    out = tmp_path / "grid.json"
+    config = cli.parse_config(["contour", *argv, "--format", "json", "--out", str(out)])
+    assert cli.run(config) == 0
+    o = config.options
+    alphas, ps, values = campaigns.factor_grid(
+        o["alpha_min"], o["alpha_max"], o["p_min"], o["p_max"], o["n_alpha"], o["n_p"]
+    )
+    rows = [
+        [a, p, v]
+        for p, row in zip(ps.tolist(), values.tolist())
+        for a, v in zip(alphas.tolist(), row)
+    ]
+    want = cli._json_text({"header": ["alpha", "p", "value"], "rows": rows})
+    _assert_same_text(out.read_text(encoding="utf-8"), want)
 
 
 def test_contour_windows_reach_both_paths():

@@ -15,6 +15,7 @@ from sharplp.means import (
     _agm_chain,
     _g_rp,
     _log_eta,
+    _log_mean_gap,
     _power_mean,
     constant_factor,
     sharpness_probe,
@@ -23,11 +24,11 @@ from sharplp.precision import FLOAT
 
 
 def power_mean(x, y, q):
-    return _power_mean(FLOAT, x, y, q)
+    return _power_mean(FLOAT, _log_mean_gap(FLOAT, x, y), q)
 
 
 def agm_chain(x, y, p):
-    return _agm_chain(FLOAT, x, y, p)
+    return _agm_chain(FLOAT, x, y, p, _log_mean_gap(FLOAT, x, y))
 
 
 def gap(s, p):

@@ -106,7 +106,7 @@ def test_log_domain_agrees_with_direct():
         for p in (-7.0, -2.5, 0.7, 3.0, 7.9):
             direct = float(np.sum(w * vals ** p))
             one = (vals[None], w[None])
-            logged = math.exp(_log_functional_rows(*one, np.ones((1, n), bool), p)[0])
+            logged = math.exp(_log_functional_rows(vals, w, np.ones((1, n), bool), p)[0])
             assert logged == pytest.approx(direct, rel=1e-12)
             assert lp_functional_rows(*one, p)[0] == pytest.approx(direct, rel=1e-12)
 
