@@ -17,18 +17,20 @@ against the claimed ones.
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
 at 50 digits on mpf, scalars or object arrays, which is how ``sign_changes``
-escalates its samples.  Every chain function but f, f', g and h is a power
-sum, held as the table of its terms: a term (a, i, j) is a t^(i + j c) with
-small integers i and j and a formed in ``xp``, and a table is built once per
-(name, c).  Only v, w, p_quad and b_factor are written out.  From v's table
-come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
-v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's t -> 0+
-sign is read from its table.
+escalates its samples; at 50 digits c is one mpf.  f', g and h share one
+formula for their second factor F (``_fraction``).  Every other chain
+function is a power sum, held as the table of its rows: a row (a, i, j) is
+the term a t^(i + j c), its exponent kept exact as the small integers i and
+j and its coefficient a formed from c in ``xp``.  The exponent's value
+b = i + j c is formed once per (name, c), where the table is cached.  Only
+v, w, p_quad and b_factor are written out.  From v's table come v', v'',
+q = v''/(2c) and u = t^(3-2c) q; from w's, v''' = 2c(1-2c)(c-1) t^(c-3) w
+and m = -t^(1-c) w.  A power sum's t -> 0+ sign is read from its table.
 
 A 50-digit power is an exp and a log, so each is taken once: a power sum
 takes t^c once per sample and builds every t^i (t^c)^j from it by
 multiplication (an integer exponent stays one t ** b), and f', g and h take
-t^c once too.  Doubles keep one numpy power per term.
+t^c once too.  Doubles keep one numpy power t ** b per term.
 """
 from __future__ import annotations
 
@@ -278,18 +280,11 @@ class ChainContext:
             raise ZeroExponent("c = 0 is not admissible")
         return cls(p=1.0 / c, c=c)
 
-    @classmethod
-    def from_p(cls, p: float) -> "ChainContext":
-        p = float(p)
-        if p == 0.0:
-            raise ZeroExponent("p = 0 is not admissible")
-        return cls(p=p, c=1.0 / p)
-
 
 def _fraction(c, t, tc):
-    """(1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor,
+    """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor,
     with ``tc`` = t^c."""
-    return (1.0 - c) * (tc + 1.0) * (1.0 - t) / (tc - t)
+    return (tc + 1.0) * (1.0 - c) * (1.0 - t) / (tc - t)
 
 
 def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
@@ -302,20 +297,20 @@ def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
     return fraction
 
 
+# f, f', g and h keep the array left of c (see ``_mp_chain``)
 def _chain_f(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
     return (
         -xp.log1p(t ** c) / c
         + xp.log1p(t)
-        + (1.0 - c) / c * xp.log1p((1.0 / x_big) ** c)
+        + xp.log1p((1.0 / x_big) ** c) * ((1.0 - c) / c)
     )
 
 
 def _chain_f_prime(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    tc = t ** c
-    bracket = 1.0 / (x_big ** c + 1.0) - (tc - t) / ((1.0 - c) * (tc + 1.0) * (1.0 - t))
-    return (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
+    bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / _fraction(c, t, t ** c)
+    return (1.0 - t) * (1.0 - c) / (t * (1.0 + t)) * bracket
 
 
 def _chain_g(xp, c, t):
@@ -325,36 +320,29 @@ def _chain_g(xp, c, t):
 
 def _chain_h(xp, c, t):
     x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return c * xp.log(x_big) - xp.log(_fraction(c, t, t ** c) - 1.0)
+    return xp.log(x_big) * c - xp.log(_fraction(c, t, t ** c) - 1.0)
 
 
-def _terms(c, *rows):
-    """The terms (a, b, i, j) of a written-out table from its rows (a, i, j):
-    a t^b with b = i + j c, i and j small integers."""
-    return tuple((a, i + j * c, i, j) for a, i, j in rows)
+def _d(rows, c):
+    """d/dt of a table at c: a t^b becomes a b t^(b-1), and a constant term
+    drops out."""
+    exponents = (i + j * c for _, i, j in rows)
+    return tuple((a * b, i - 1, j) for (a, i, j), b in zip(rows, exponents) if b != 0.0)
 
 
-def _d(terms):
-    """d/dt of a table; a constant term drops out."""
-    return tuple((a * b, b - 1.0, i - 1, j) for a, b, i, j in terms if b != 0.0)
-
-
-def _times(terms, k, c, i, j):
+def _times(rows, k, i, j):
     """k t^(i + j c) times a table."""
-    s = i + j * c
-    return tuple((a * k, b + s, bi + i, bj + j) for a, b, bi, bj in terms)
+    return tuple((a * k, ri + i, rj + j) for a, ri, rj in rows)
 
 
-# name -> the table of a power sum at c: its terms (a, b, i, j), the sum of
-# a t^b over them, where b = i + j c with small integers i and j.  b is formed
-# in the backend by the steps below (so doubles keep the roundings of b - 1
-# and b + s); (i, j) is exact and lets 50 digits take t^c once per sample
-# (see ``_power_sum``).  Only v, w, p_quad and b_factor are written out; the
-# rest is derived from v and w.  For c = 2, q = v''/(2c) factors as
-# (t-1)(5t^2-16t+8).
+# name -> the table of a power sum at c: its rows (a, i, j), the sum of
+# a t^(i + j c) over them.  (i, j) are small integers, the exact exponent;
+# the coefficient a is formed from c in the backend, and the exponent's value
+# b = i + j c once per (name, c), in ``_cached_table``.  Only v, w, p_quad
+# and b_factor are written out; the rest is derived from v and w.  For c = 2,
+# q = v''/(2c) factors as (t-1)(5t^2-16t+8).
 _TABLES: Mapping[str, Callable] = {
-    "v": lambda c: _terms(
-        c,
+    "v": lambda c: (
         (2.0 * c * c - 1.0, 1, 0),
         (-c * c, 2, 0),
         (2.0 * c * (1.0 - 2.0 * c), 0, 1),
@@ -364,30 +352,25 @@ _TABLES: Mapping[str, Callable] = {
         (-((1.0 - c) ** 2), 0, 0),
         (c * c, -1, 2),
     ),
-    "v_prime": lambda c: _d(_TABLES["v"](c)),
-    "v_dprime": lambda c: _d(_TABLES["v_prime"](c)),
-    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), c, 0, 0),
-    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, c, 3, -2),
-    "w": lambda c: _terms(
-        c,
+    "v_prime": lambda c: _d(_TABLES["v"](c), c),
+    "v_dprime": lambda c: _d(_TABLES["v_prime"](c), c),
+    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), 0, 0),
+    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, 3, -2),
+    "w": lambda c: (
         (c * (c - 2.0), 0, 0),
         (-(c + 1.0) * c, 1, 0),
         (-2.0 * (1.0 - 2.0 * c * c), 0, 1),
         ((1.0 - c) * (1.0 + 2.0 * c), 1, 1),
         (-c * (2.0 * c - 3.0), -1, 1),
     ),
-    "v_tprime": lambda c: _times(
-        _TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), c, -3, 1
-    ),
-    "m": lambda c: _times(_TABLES["w"](c), -1.0, c, 1, -1),
-    "p_quad": lambda c: _terms(
-        c,
+    "v_tprime": lambda c: _times(_TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), -3, 1),
+    "m": lambda c: _times(_TABLES["w"](c), -1.0, 1, -1),
+    "p_quad": lambda c: (
         ((c + 1.0) * (1.0 + 2.0 * c), 2, 0),
         (2.0 * (1.0 - 2.0 * c * c), 1, 0),
         (2.0 * c * c - 7.0 * c + 6.0, 0, 0),
     ),
-    "b_factor": lambda c: _terms(
-        c,
+    "b_factor": lambda c: (
         (c ** 3 - c, 0, 0),
         (-c * (c + 1.0) * (c - 2.0), 1, 0),
         (2.0 * (2.0 * c - 3.0), 2, -1),
@@ -396,16 +379,17 @@ _TABLES: Mapping[str, Callable] = {
 
 
 def _table(name: str, xp, c) -> tuple:
-    """The table of ``name`` at c with a and b formed in the backend ``xp``,
-    built once per (name, c) and backend."""
+    """The terms (a, b, i, j) of ``name`` at c: its rows with a and
+    b = i + j c formed in the backend ``xp``, built once per (name, c) and
+    backend."""
     return _cached_table(name, c, mpmath.mp.prec if xp is MP else None)
 
 
 @functools.lru_cache(maxsize=256)
 def _cached_table(name: str, c, prec: int | None) -> tuple:
     xp = FLOAT if prec is None else MP  # an MP caller works at precision prec
-    terms = _TABLES[name](xp.asarray(c))
-    return tuple((xp.asarray(a), xp.asarray(b), i, j) for a, b, i, j in terms)
+    c = xp.asarray(c)
+    return tuple((xp.asarray(a), xp.asarray(i + j * c), i, j) for a, i, j in _TABLES[name](c))
 
 
 def _power_sum(name: str, xp, c, t):
@@ -416,11 +400,9 @@ def _power_sum(name: str, xp, c, t):
     t^b is t^i (t^c)^j, built by multiplication.  An integer-valued b stays
     one t ** b, which rounds once where the product rounds twice; when c is
     an integer, so is every b, and t^c is not taken at all.  t stays left of
-    each product, so no mpf multiplies an object array from the left (see
-    ``_mp_chain``).
+    each product (see ``_mp_chain``).
     """
     terms = _table(name, xp, c)
-    c = xp.asarray(c)
     tc = None if xp is FLOAT or mpmath.isint(c) else t ** c
 
     def power(b, i, j):
@@ -539,17 +521,14 @@ def _sign_of(x: float) -> int:
 
 def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
     """The chain function at 50 digits on the samples ``t``, as one object
-    array of mpf.
+    array of mpf, with c one mpf.
 
     An mpf left of an object array first fails to convert it, and the failure
-    formats the whole array at 50 digits.  A power sum keeps t on the left;
-    f, f_prime, g and h take c as a one-entry array, so that every operation
-    is array with array.
+    formats the whole array at 50 digits, so every formula keeps the array
+    left of c.
     """
     with mp_workdps() as xp:
-        if name not in _TABLES:
-            c = np.array([xp.asarray(c)], dtype=object)
-        return _CHAIN_FLOAT[name](xp, c, xp.asarray(t))
+        return _CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t))
 
 
 def _classify(

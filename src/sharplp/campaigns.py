@@ -5,12 +5,14 @@ summaries.  Instances are small discrete spaces (up to 12 points, values and
 weights in (0, 2]); forward and reverse exponent lists follow the regions of
 the sharpened inequality.
 
-Every campaign is evaluated in batches over stacked arrays, not one Python
-call per instance: ``verify_campaign`` draws the instances of one exponent
-into zero-padded (trials, max_points) arrays with a point mask and evaluates
+Three campaigns are batched over stacked arrays, not one Python call per
+instance: ``verify_campaign`` draws the instances of one exponent into
+zero-padded (trials, max_points) arrays with a point mask and evaluates
 them with one ``main_sides_batch`` call; ``schatten_campaign`` builds each
 dimension's PSD pairs once, as (trials, d, d) stacks, and evaluates every
-exponent on them; ``factor_grid`` is one array evaluation.
+exponent on them; ``factor_grid`` is one array evaluation.  Not batched:
+``means_campaign`` (one pair per trial) and the witness grid of
+``sharpness_campaign``'s probe (one sample at a time).
 
 The draws are not made one numpy call per instance either, yet every seed
 keeps its meaning: ``_draw_stack`` reads the PCG64 words that the calls of

@@ -377,6 +377,11 @@ _RUNNERS = {
 }
 
 
+# numpy's refusals of an array size beyond its index range, made before it
+# allocates anything
+_NUMPY_SIZE_ERRORS = ("array is too big", "Maximum allowed size exceeded")
+
+
 def run(config: CommandConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
@@ -387,6 +392,11 @@ def run(config: CommandConfig) -> int:
         return _RUNNERS[config.command](config)
     except (UsageError, SharpLpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, ValueError) as exc:  # an array numpy cannot allocate
+        if not isinstance(exc, MemoryError) and not str(exc).startswith(_NUMPY_SIZE_ERRORS):
+            raise
+        print(f"error: the sizes do not fit in memory. {exc}".rstrip(), file=sys.stderr)
         return 2
 
 

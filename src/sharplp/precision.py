@@ -1,8 +1,8 @@
 """One expression per quantity, two backends, one precision switch.
 
 Each formula is written once against a namespace ``xp`` holding ``exp``,
-``log``, ``log1p``, ``sqrt``, ``tanh``, ``cosh``, ``logaddexp``, ``logcosh``
-and ``asarray`` (float inputs to the backend's numbers):
+``log``, ``log1p``, ``sqrt``, ``tanh``, ``logaddexp``, ``logcosh`` and
+``asarray`` (float inputs to the backend's numbers):
 
 - ``FLOAT`` evaluates doubles: numpy on arrays, libm (``math``) on scalars as
   the scalar kernels always have, so their results stay bit for bit.  Where
@@ -78,7 +78,7 @@ def _float_logaddexp(a, b):
 FLOAT = SimpleNamespace(
     **{
         name: _libm_or_numpy(getattr(math, name), getattr(np, name))
-        for name in ("exp", "log", "log1p", "sqrt", "tanh", "cosh")
+        for name in ("exp", "log", "log1p", "sqrt", "tanh")
     },
     logaddexp=_float_logaddexp,
     asarray=_float_asarray,
@@ -97,7 +97,7 @@ def _mp_elementwise(fn, nin=1):
 MP = SimpleNamespace(
     **{
         name: _mp_elementwise(getattr(mp, name))
-        for name in ("exp", "log", "sqrt", "tanh", "cosh")
+        for name in ("exp", "log", "sqrt", "tanh")
     },
     # log of the exact sum: as accurate as mp.log1p, in half its time
     log1p=_mp_elementwise(lambda x: mp.log(mp.fadd(1, x, exact=True))),

@@ -41,6 +41,10 @@ from sharplp.measure import (
     SimpleFunction,
     forward_region,
     lp_functional_rows,
+    lp_norm,
+    lp_norm_rows,
+    overlap_norm,
+    overlap_norm_rows,
     overlap_rows,
     power_rows,
 )
@@ -126,6 +130,34 @@ def _stacks(draw):
 @given(stack=_stacks(), p=_exponent)
 def test_batch_rows_match_high_precision_property(stack, p):
     _assert_rows_match_high_precision(stack, p)
+
+
+def _assert_rows_equal_scalars(got, want, high):
+    """Identical mpf at 50 digits; in doubles numpy's pairwise row sum may
+    group a padded row differently from the unpadded one."""
+    assert len(got) == len(want)
+    if high:
+        assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+# p = 12 takes the log-domain branch of the doubles, and at p = -3 a padding
+# 0 reaching 0^p would make its row infinite
+@pytest.mark.parametrize("high", [False, True], ids=["double", "high"])
+@pytest.mark.parametrize("p", [-3.0, 0.5, 3.0, 12.0])
+def test_norm_rows_equal_the_scalar_norms(p, high):
+    f, g, w, mask = _padded(FIXED_ROWS, 6)
+    with mock.patch.dict(os.environ, HIGH if high else {}):
+        norms = lp_norm_rows(f, w, p, mask)
+        overlaps = overlap_norm_rows(f, g, w, p, mask)
+        rows = list(_rows((f, g, w, mask)))
+        want_norms = [lp_norm(fi, space, p) for fi, _, space in rows]
+        want_overlaps = [overlap_norm(fi, gi, space, p) for fi, gi, space in rows]
+    assert norms.dtype == (object if high else float)
+    _assert_rows_equal_scalars(norms, want_norms, high)
+    _assert_rows_equal_scalars(overlaps, want_overlaps, high)
+    assert all(np.isfinite(float(x)) and x > 0 for x in list(norms) + list(overlaps))
 
 
 def test_padding_is_never_read():

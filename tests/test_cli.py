@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import sharplp
+from sharplp import cli
 from sharplp.cli import CommandConfig, main, parse_config, run
 
 
@@ -315,3 +316,50 @@ def test_cli_imports_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sizes beyond numpy's index range, refused before anything is allocated
+        ["verify", "--points", "1000000000000000000", "--trials", "2"],
+        ["audit", "--c", "0.3", "--points", "10000000000000000000"],
+        ["contour", "--np", "10000000000000000000"],
+        ["contour", "--na", "10000000000000000000"],
+    ],
+    ids=" ".join,
+)
+def test_sizes_numpy_refuses_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "do not fit in memory" in err[0]
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 44.7 GiB")])
+def test_allocation_failure_exits_2(error, monkeypatch, capsys):
+    # a size numpy indexes but the host cannot hold, stood in for by a runner
+    def runner(config):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+    assert run(parse_config(["verify"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "do not fit in memory" in err[0]
+
+
+def test_other_value_errors_still_raise(monkeypatch):
+    # only numpy's size refusals become usage errors; a program fault stays loud
+    def runner(config):
+        raise ValueError("some other fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+    with pytest.raises(ValueError, match="some other fault"):
+        run(parse_config(["verify"]))
