@@ -12,7 +12,9 @@ substitution t = ((1-alpha)/alpha)^p, c = 1/p, a ladder of auxiliary functions
 statements on (0, 1).  ``sign_changes`` locates crossings on a grid with
 bisection refinement, escalating to high precision where double precision
 cannot certify a sign, and ``audit_chain`` compares the observed patterns
-against the claimed ones.
+against the claimed ones.  Both take c itself and hold it to one c rule
+(``_check_c``): c != 0 with 1/c finite, |c| < 1e9, the exponent rule of
+``measure`` on p = 1/c, and c not in {1/2, 1}.
 
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
@@ -56,6 +58,7 @@ from .errors import (
     TooCoarse,
     ZeroExponent,
 )
+from .measure import check_p_value
 from .precision import FLOAT, MP, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
@@ -67,9 +70,9 @@ _EDGE_GUARD = 1e-3
 _LEFT_FLOOR = 1e-18
 _ZERO_REL = 1e-13
 _BRACKET_WIDTH = 1e-10
-# From here on p = 1/c is within 1e-9 of 0, which the command line rejects
-# too: t^c underflows or overflows on the whole double grid, so every sample
-# would go to 50 digits.
+# From here on p = 1/c is within 1e-9 of 0, which the exponent rule rejects
+# too; the audit raises NumericRange first: t^c underflows or overflows on the
+# whole double grid, so every sample would go to 50 digits.
 _C_MAX = 1e9
 
 
@@ -260,25 +263,37 @@ CHAIN_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ChainContext:
-    """Fixes the exponent through c = 1/p."""
+def _as_c(c: float) -> float:
+    """c as a float, for a c that names an exponent: c != 0 with p = 1/c
+    finite and nonzero.  This is all ``chain_eval`` asks of c."""
+    c = float(c)
+    if c == 0.0:
+        raise ZeroExponent("c = 0 is not admissible")
+    p = 1.0 / c
+    if not math.isfinite(p) or p == 0.0:
+        raise ExponentOutOfRange(f"c = {c!r}: p = 1/c is not a finite nonzero number")
+    return c
 
-    p: float
-    c: float
 
-    def __post_init__(self):
-        if self.c == 0.0 or self.p == 0.0:
-            raise ZeroExponent("c = 1/p requires a nonzero exponent")
-        if not math.isclose(self.c * self.p, 1.0, rel_tol=1e-12):
-            raise ExponentOutOfRange("ChainContext requires finite c and p with c = 1/p")
-
-    @classmethod
-    def from_c(cls, c: float) -> "ChainContext":
-        c = float(c)
-        if c == 0.0:
-            raise ZeroExponent("c = 0 is not admissible")
-        return cls(p=1.0 / c, c=c)
+def _check_c(c: float) -> float:
+    """The c rule of the audit: ``_as_c``; |c| < 1e9; the exponent rule of
+    ``measure.check_p_value`` on p = 1/c; and c not in {1/2, 1}."""
+    c = _as_c(c)
+    if abs(c) >= _C_MAX:
+        raise NumericRange(
+            f"c = {c!r}: |c| >= 1e9 puts p = 1/c within 1e-9 of 0, where "
+            "t^c is not a usable double on the grid"
+        )
+    try:
+        check_p_value(1.0 / c)
+    except ExponentOutOfRange as exc:
+        raise ExponentOutOfRange(f"c = {c!r}: {exc}") from None
+    if c in (0.5, 1.0):
+        raise ExponentOutOfRange(
+            f"c = {c!r}: the chain degenerates at c in {{1/2, 1}} (p in {{2, 1}}), "
+            "where f', g and h vanish or divide by 1 - c; no sign pattern is claimed"
+        )
+    return c
 
 
 def _fraction(c, t, tc):
@@ -437,22 +452,23 @@ def _h0_value(c: float) -> float:
     return math.inf
 
 
-def chain_eval(name: str, ctx: ChainContext, t: float) -> float:
+def chain_eval(name: str, c: float, t: float) -> float:
     """Evaluate one auxiliary chain function at t in (0, 1] (h0 ignores t)."""
+    c = _as_c(c)
     if name not in CHAIN_NAMES:
         raise NameRequiresC(f"unknown chain function {name!r}")
     if name == "h0":
-        return _h0_value(ctx.c)
+        return _h0_value(c)
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
-    if ctx.c == 1.0 and name in ("f_prime", "g", "h"):
+    if c == 1.0 and name in ("f_prime", "g", "h"):
         raise ExponentOutOfRange(f"{name} divides by 1 - c, which is 0 at c = 1")
     with backend() as xp:
         if t == 1.0 and name in _AT_ONE:
             return xp.asarray(_AT_ONE[name])
         with np.errstate(all="ignore"):
-            return _CHAIN_FLOAT[name](xp, xp.asarray(ctx.c), xp.asarray(t))
+            return _CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +600,7 @@ def _local_scale(mags: np.ndarray) -> np.ndarray:
     return np.max([padded[k : k + mags.size] for k in range(5)], axis=0)
 
 
-def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePattern:
+def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta), delta = ``DEFAULT_DELTA`` = 1e-6, is
@@ -601,10 +617,10 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     1e-10.  The escalated samples are evaluated together, as one 50-digit
     object array; only the bisection probes go to 50 digits one at a time,
     each as an array of one sample.
-    No Python loop runs over the grid's samples.  Raises ExponentOutOfRange
-    at c in {1/2, 1}, where the chain degenerates, and NumericRange for
-    |c| >= 1e9 (p = 1/c within 1e-9 of 0), where t^c is not a usable double
-    anywhere on the grid.
+    No Python loop runs over the grid's samples.  c must pass the audit's
+    c rule (``_check_c``): it raises ExponentOutOfRange at c in {1/2, 1},
+    where the chain degenerates, and NumericRange for |c| >= 1e9 (p = 1/c
+    within 1e-9 of 0), where t^c is not a usable double anywhere on the grid.
     """
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")
@@ -612,20 +628,11 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
         raise NameRequiresC(f"unknown chain function {name!r}")
     if name == "h0":
         raise NameRequiresC("h0 is a limit value, not a function of t")
-    if ctx.c in (0.5, 1.0):
-        raise ExponentOutOfRange(
-            f"c = {ctx.c!r}: the chain degenerates at c in {{1/2, 1}} (p in {{2, 1}}), "
-            "where f', g and h vanish or divide by 1 - c; no sign pattern is claimed"
-        )
-    if abs(ctx.c) >= _C_MAX:
-        raise NumericRange(
-            f"c = {ctx.c!r}: |c| >= 1e9 puts p = 1/c within 1e-9 of 0, where "
-            "t^c is not a usable double on the grid"
-        )
+    c = _check_c(c)
 
     t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
     with np.errstate(all="ignore"):
-        vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, ctx.c, t), dtype=float)
+        vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, c, t), dtype=float)
 
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
@@ -636,7 +643,7 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    mp_vals = _mp_chain(name, ctx.c, t[needs_mp])
+    mp_vals = _mp_chain(name, c, t[needs_mp])
     signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
     # adjacent unresolved samples defeat classification
@@ -647,18 +654,18 @@ def sign_changes(name: str, ctx: ChainContext, grid_size: int) -> SignChangePatt
     # the limit signs at t = 0 and t = 1 frame the samples; an unknown one is 0,
     # which classification skips
     seq_t = np.concatenate(([0.0], t, [1.0]))
-    s0, s1 = _left_limit_sign(name, ctx.c), _right_limit_sign(name, ctx.c)
+    s0, s1 = _left_limit_sign(name, c), _right_limit_sign(name, c)
     seq_s = np.concatenate(([s0], signs, [s1]))
 
     def _sign_at(x: float) -> int:
         with np.errstate(all="ignore"):
-            v = float(_CHAIN_FLOAT[name](FLOAT, ctx.c, FLOAT.asarray(x)))
+            v = float(_CHAIN_FLOAT[name](FLOAT, c, FLOAT.asarray(x)))
         if (
             not math.isfinite(v)
             or x >= 1.0 - _EDGE_GUARD
             or abs(v) <= 1e-12 * (1.0 + abs(v))
         ):
-            return _sign_of(_mp_chain(name, ctx.c, np.array([x]))[0])
+            return _sign_of(_mp_chain(name, c, np.array([x]))[0])
         return _sign_of(v)
 
     return _classify(seq_t, seq_s, _sign_at)
@@ -727,18 +734,18 @@ def _extra_expectations(c: float) -> dict[str, PatternKind]:
     return extras
 
 
-def audit_chain(ctx: ChainContext, grid_size: int = 10_000) -> ChainReport:
+def audit_chain(c: float, grid_size: int = 10_000) -> ChainReport:
     """Compare observed sign patterns of the whole chain to the claimed ones.
 
     The five pattern-bearing functions gate the audit; the intermediate
     helpers are reported informationally only on the parameter ranges where
     the argument uses them.  The always-positive second factor is checked on
-    the same grid.  ``sign_changes`` rejects c in {1/2, 1}.
+    the same grid.  c must pass the audit's c rule (``_check_c``).
     """
-    c = ctx.c
+    c = _check_c(c)
 
     def entry(name: str, expected: PatternKind) -> PatternEntry:
-        observed = sign_changes(name, ctx, grid_size)
+        observed = sign_changes(name, c, grid_size)
         return PatternEntry(observed, expected, match=observed.overall is expected)
 
     patterns = {name: entry(name, expected_pattern(name, c)) for name in CORE_AUDIT_NAMES}

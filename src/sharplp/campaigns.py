@@ -5,6 +5,10 @@ summaries.  Instances are small discrete spaces (up to 12 points, values and
 weights in (0, 2]); forward and reverse exponent lists follow the regions of
 the sharpened inequality.
 
+Every exponent of ``verify_campaign``, ``means_campaign``,
+``sharpness_campaign`` and ``factor_grid`` passes the exponent rule,
+``measure.check_p_value``, before any work; the kernels accept every p != 0.
+
 Three campaigns are batched over stacked arrays, not one Python call per
 instance: ``verify_campaign`` draws the instances of one exponent into
 zero-padded (trials, max_points) arrays with a point mask and evaluates
@@ -32,7 +36,9 @@ from .means import (
     constant_factors,
     sharpness_probe,
 )
-from .measure import SLACK, MeasureSpace, SimpleFunction, forward_region, relative_violation
+from .measure import (
+    SLACK, MeasureSpace, SimpleFunction, check_p_value, forward_region, relative_violation,
+)
 from .errors import InvalidDraw, NumericRange
 from .precision import backend, require_finite
 from .schatten import _SpectralPair, random_psd_stack
@@ -183,6 +189,8 @@ def verify_campaign(
     if max_points < 2:
         # each equality pair has one point in each support
         raise InvalidDraw(f"max_points must be at least 2, got {max_points}")
+    for p in (*forward_ps, *reverse_ps):
+        check_p_value(p)
     rng = np.random.default_rng(seed)
     per_region_failures = {"forward": 0, "reverse": 0, "dominance": 0, "equality": 0}
     max_violation = 0.0
@@ -288,9 +296,10 @@ def factor_grid(
     """
     alphas = np.linspace(alpha_min, alpha_max, n_alpha)
     ps = np.linspace(p_min, p_max, n_p)
+    for p in ps.tolist():
+        check_p_value(p)
     col = ps[:, None]
-    with np.errstate(divide="ignore"):  # p = 0 is rejected by constant_factors
-        q = 2.0 / col
+    q = 2.0 / col
     values = np.asarray(constant_factors(alphas[None, :], col, q), dtype=float)
     return alphas, ps, values
 
@@ -308,6 +317,8 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     to 0, raise NumericRange.
     """
     _check_draws(seed, trials)
+    for p in ps:
+        check_p_value(p)
     rng = np.random.default_rng(seed)
     failures, max_gap = 0, 0.0
     example = example_sides = None
@@ -365,6 +376,8 @@ def sharpness_campaign(ps, r: float) -> list[dict]:
     and a sign witness was found exactly where one is expected: r > 1 for
     p > 2, r < 1 for p < 0 and for 0 < p < 2.
     """
+    for p in ps:
+        check_p_value(p)
     results = []
     for p in ps:
         probe = sharpness_probe(p, r)

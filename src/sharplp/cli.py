@@ -5,6 +5,12 @@ two-region campaign), ``audit`` (derivative-chain sign patterns), ``sharpness``
 (coupling-power probe), ``schatten`` (trace-bound trials), and ``means``
 (mean-chain and power-mean form checks).  Exit code 0 means every check
 passed, 1 means a mathematical check failed, 2 means a usage error.
+
+This module only parses, dispatches and serializes.  The parameter rules
+live in the library: the exponent rule in ``measure.check_p_value``, applied
+by every campaign, and the c rule of ``audit``; their SharpLpError is exit
+code 2.  Output is JSON, except ``contour``, whose ``--format`` picks CSV
+(the default) or JSON.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import Any, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import campaigns
-from .audit import ChainContext, ChainReport, audit_chain
+from .audit import ChainReport, audit_chain
 from .errors import SharpLpError
 from .measure import forward_region
 from .precision import active_mode
@@ -29,8 +35,6 @@ from .precision import active_mode
 DEFAULT_C_GRID = (
     -3.0, -1.0, -0.2, 0.05, 0.2, 0.35, 0.45, 0.55, 0.7, 0.9, 1.3, 2.0, 3.5, 8.0,
 )
-
-_SPECIAL_PS = (0.0, 1.0, 2.0)
 
 
 class UsageError(Exception):
@@ -43,21 +47,6 @@ class CommandConfig:
     format: str
     out_path: str | None
     options: dict[str, Any]
-
-
-def _check_p_value(p: float) -> float:
-    """Reject p within 1e-9 of {0, 1, 2} unless exactly on an identity point."""
-    for s in _SPECIAL_PS:
-        if p == s:
-            if s == 0.0:
-                raise UsageError("p = 0 is not admissible")
-            return p
-        if abs(p - s) <= 1e-9:
-            raise UsageError(
-                f"p = {p!r} is within 1e-9 of {s} but not exactly equal; "
-                "use the exact special value or move away from it"
-            )
-    return p
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -91,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     contour.add_argument("--p-max", type=float, default=4.0)
     contour.add_argument("--na", type=int, default=400, dest="n_alpha")
     contour.add_argument("--np", type=int, default=400, dest="n_p")
+    contour.add_argument("--format", type=str, choices=("csv", "json"), default="csv")
 
     verify = sub.add_parser("verify", help="randomized two-region campaign")
     verify.add_argument("--p-list", type=str, default=None)
@@ -99,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--points", type=int, default=campaigns.MAX_POINTS)
 
     audit = sub.add_parser("audit", help="derivative-chain sign-pattern audit")
-    audit.add_argument("--c", type=float, default=None)
     audit.add_argument("--c-grid", type=str, default=None)
     audit.add_argument("--points", type=int, default=10_000)
 
@@ -120,9 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (contour, verify, audit, sharp, schatten, means):
         p.add_argument("--out", type=str, default=None)
-        p.add_argument(
-            "--format", type=str, choices=("csv", "json"), default=None
-        )
     return parser
 
 
@@ -132,10 +118,8 @@ def parse_config(argv: Sequence[str] | None = None) -> CommandConfig:
     options = {
         k: v for k, v in vars(ns).items() if k not in ("command", "out", "format")
     }
-    fmt = ns.format or ("csv" if ns.command == "contour" else "json")
-    return CommandConfig(
-        command=ns.command, format=fmt, out_path=ns.out, options=options
-    )
+    fmt = getattr(ns, "format", "json")  # only contour has --format
+    return CommandConfig(command=ns.command, format=fmt, out_path=ns.out, options=options)
 
 
 @contextmanager
@@ -262,8 +246,6 @@ def _run_contour(config: CommandConfig) -> int:
         raise UsageError("ranges must be ordered (min < max)")
     if not (0.0 <= o["alpha_min"] and o["alpha_max"] <= 1.0):
         raise UsageError("alpha range must lie within [0, 1]")
-    for p in np.linspace(o["p_min"], o["p_max"], o["n_p"]):
-        _check_p_value(float(p))
     alphas, ps, values = campaigns.factor_grid(
         o["alpha_min"], o["alpha_max"], o["p_min"], o["p_max"],
         o["n_alpha"], o["n_p"],
@@ -304,7 +286,7 @@ def _run_verify(config: CommandConfig) -> int:
     if o["p_list"] is None:
         forward, reverse = campaigns.FORWARD_PS, campaigns.REVERSE_PS
     else:
-        ps = [_check_p_value(p) for p in _parse_float_list(o["p_list"])]
+        ps = _parse_float_list(o["p_list"])
         forward = [p for p in ps if forward_region(p)]
         reverse = [p for p in ps if not forward_region(p)]
     summary = campaigns.verify_campaign(
@@ -317,25 +299,8 @@ def _run_verify(config: CommandConfig) -> int:
 
 def _run_audit(config: CommandConfig) -> int:
     o = config.options
-    if o["c"] is not None and o["c_grid"] is not None:
-        raise UsageError("give either --c or --c-grid, not both")
-    if o["c"] is not None:
-        cs = [o["c"]]
-    elif o["c_grid"] is not None:
-        cs = _parse_float_list(o["c_grid"])
-    else:
-        cs = list(DEFAULT_C_GRID)
-    for c in cs:
-        if c in (0.0, 0.5, 1.0):
-            raise UsageError(f"c = {c} is excluded from the pattern claims")
-        p = 1.0 / c  # the p rule applies to c = 1/p
-        try:
-            if not math.isfinite(p):
-                raise UsageError("p = 1/c is not finite")
-            _check_p_value(p)
-        except UsageError as exc:
-            raise UsageError(f"c = {c!r}: {exc}") from None
-    reports = [audit_chain(ChainContext.from_c(c), o["points"]) for c in cs]
+    cs = DEFAULT_C_GRID if o["c_grid"] is None else _parse_float_list(o["c_grid"])
+    reports = [audit_chain(c, o["points"]) for c in cs]
     payload = [_chain_report_to_dict(r) for r in reports]
     _write_output(_json_text(payload), config.out_path)
     return 0 if all(r.all_match and r.fraction_ok for r in reports) else 1
@@ -361,7 +326,7 @@ def _run_schatten(config: CommandConfig) -> int:
 
 def _run_means(config: CommandConfig) -> int:
     o = config.options
-    ps = [_check_p_value(p) for p in _parse_float_list(o["p_list"])]
+    ps = _parse_float_list(o["p_list"])
     summary = campaigns.means_campaign(seed=o["seed"], trials=o["trials"], ps=ps)
     _write_output(_json_text(summary), config.out_path)
     return 0 if summary["passed"] else 1
@@ -386,8 +351,6 @@ def run(config: CommandConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         active_mode()  # validate the precision switch before any work
-        if config.command != "contour" and config.format == "csv":
-            raise UsageError(f"{config.command} output is JSON only")
         _check_finite_options(config.options)
         return _RUNNERS[config.command](config)
     except (UsageError, SharpLpError) as exc:

@@ -8,7 +8,6 @@ with the triangle inequality and the p-level sharpened bound applied to
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,28 +113,18 @@ def _normalized(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: fl
 def direct_p4(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace) -> P4Report:
     """Run the direct fourth-power proof chain on one instance.
 
-    Inputs are rescaled internally to ||f||_4^4 + ||g||_4^4 = 2.  The chain
+    This is ``doubling_step`` at p = 2, read in the names of the direct
+    proof, with stricter checks.  Inputs are rescaled internally to
+    ||f||_4^4 + ||g||_4^4 = 2.  The chain
     ||f+g||_4^2 <= beta + 2 alpha <= sqrt(2)(1+alpha)^(3/2) is checked along
     with the identity beta^2 = 2 + 2 alpha^2 and the scalar square-root bound
     psi_{1/2}(alpha) >= 0; a violation beyond slack raises InequalityViolation.
     """
-    if np.any(f.values < 0.0) or np.any(g.values < 0.0):
-        raise NegativeInput("f and g must be nonnegative")
-    fn, gn = _normalized(f, g, space, 4.0)
-    X = SimpleFunction(fn.values * gn.values)
-    Y = SimpleFunction(fn.values ** 2 + gn.values ** 2)
-    alpha = lp_norm(X, space, 2.0) if np.any(X.values != 0.0) else 0.0
-    beta = lp_norm(Y, space, 2.0)
-    lhs = lp_norm(SimpleFunction(fn.values + gn.values), space, 4.0) ** 2
-    bound_minkowski = beta + 2.0 * alpha
-    bound_final = math.sqrt(2.0) * (1.0 + alpha) ** 1.5
+    step = doubling_step(f, g, space, 2.0)
+    alpha, beta, lhs, bound_final = step.gamma, step.beta, step.lhs_2p, step.final_bound
+    bound_minkowski = step.links[0].rhs  # the triangle link's beta + 2 gamma
     identity_gap = beta ** 2 - 2.0 - 2.0 * alpha ** 2
-
-    report = P4Report(
-        alpha=float(alpha), beta=float(beta), lhs=float(lhs),
-        bound_minkowski=float(bound_minkowski), bound_final=float(bound_final),
-        identity_gap=float(identity_gap),
-    )
+    report = P4Report(alpha, beta, lhs, bound_minkowski, bound_final, identity_gap)
     chain = ((lhs, bound_minkowski), (bound_minkowski, bound_final))
     if any(relative_violation(a, b, forward=True) > SLACK for a, b in chain):
         raise InequalityViolation(f"fourth-power chain failed: {report}")

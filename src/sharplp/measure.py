@@ -17,6 +17,8 @@ range.
 
 Every check of the toolkit passes when ``relative_violation`` of its two
 sides, in the direction ``forward_region`` gives, is at most ``SLACK``.
+Every campaign reads its exponents through ``check_p_value``, which rejects
+p = 0 and a near miss of 0, 1 or 2 that is not exactly on it.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from .errors import (
     BadShape,
+    ExponentOutOfRange,
     InvalidInstance,
     MisalignedFunction,
     NegativeInput,
@@ -43,6 +46,9 @@ LOG_DOMAIN_THRESHOLD = 8.0
 
 # Relative slack of every verdict: roundoff below it is not a violation.
 SLACK = 1e-9
+
+# The bound is undefined at p = 0 and an identity at 1 and 2; it flips at each.
+_SPECIAL_PS = (0.0, 1.0, 2.0)
 
 
 def _as_readonly(values: Sequence[float]) -> np.ndarray:
@@ -151,6 +157,19 @@ def _check_exponent(p: float) -> float:
     p = float(p)
     if p == 0.0:
         raise ZeroExponent("p = 0 is not admissible")
+    return p
+
+
+def check_p_value(p: float) -> float:
+    """The exponent rule of every campaign: p != 0, and p within 1e-9 of 0, 1
+    or 2 only when exactly on it.  The kernels accept every p != 0."""
+    p = _check_exponent(p)
+    for s in _SPECIAL_PS:
+        if p != s and abs(p - s) <= 1e-9:
+            raise ExponentOutOfRange(
+                f"p = {p!r} is within 1e-9 of {s} but not exactly equal; "
+                "use the exact special value or move away from it"
+            )
     return p
 
 

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 import oracle
-from sharplp.audit import ChainContext, audit_chain, chain_eval, curvature
+from sharplp.audit import audit_chain, chain_eval, curvature
 from sharplp.campaigns import factor_grid, schatten_campaign, verify_campaign
 from sharplp.cli import parse_config, run
 from sharplp.means import constant_factor, sharpness_probe
@@ -199,29 +199,27 @@ def test_criterion_09_chain_audit():
     cs = (-3.0, -1.0, -0.2, 0.05, 0.2, 0.35, 0.45, 0.55, 0.7, 0.9, 1.3, 2.0, 3.5, 8.0)
     mismatches = []
     for c in cs:
-        rep = audit_chain(ChainContext.from_c(c), 10_000)
+        rep = audit_chain(c, 10_000)
         if not (rep.all_match and rep.fraction_ok):
             mismatches.append(c)
 
     endpoint_ok = True
     for c in cs:
-        ctx = ChainContext.from_c(c)
-        endpoint_ok &= abs(chain_eval("v", ctx, 1.0)) <= 1e-10
-        endpoint_ok &= abs(chain_eval("v_prime", ctx, 1.0)) <= 1e-10
-        endpoint_ok &= abs(chain_eval("v_dprime", ctx, 1.0)) <= 1e-10
+        endpoint_ok &= abs(chain_eval("v", c, 1.0)) <= 1e-10
+        endpoint_ok &= abs(chain_eval("v_prime", c, 1.0)) <= 1e-10
+        endpoint_ok &= abs(chain_eval("v_dprime", c, 1.0)) <= 1e-10
         want = 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0) ** 2
-        endpoint_ok &= abs(chain_eval("v_tprime", ctx, 1.0) - want) <= 1e-8 * abs(want)
-        endpoint_ok &= chain_eval("h", ctx, 1.0) == 0.0
-        endpoint_ok &= abs(chain_eval("w", ctx, 1.0) - (c - 1.0)) <= 1e-12 * max(
+        endpoint_ok &= abs(chain_eval("v_tprime", c, 1.0) - want) <= 1e-8 * abs(want)
+        endpoint_ok &= chain_eval("h", c, 1.0) == 0.0
+        endpoint_ok &= abs(chain_eval("w", c, 1.0) - (c - 1.0)) <= 1e-12 * max(
             1.0, abs(c - 1.0)
         )
 
-    ctx2 = ChainContext.from_c(2.0)
     fact_ok = True
     for t in np.linspace(1e-3, 1.0, 1000):
         t = float(t)
         factored = (t - 1.0) * (5.0 * t * t - 16.0 * t + 8.0)
-        fact_ok &= abs(chain_eval("q_factor", ctx2, t) - factored) <= 1e-12
+        fact_ok &= abs(chain_eval("q_factor", 2.0, t) - factored) <= 1e-12
 
     ok = not mismatches and endpoint_ok and fact_ok
     assert _report(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sharplp import audit
 from sharplp.audit import (
     CHAIN_NAMES,
-    ChainContext,
     Crossing,
     PatternKind,
     audit_chain,
@@ -165,92 +164,86 @@ def test_second_divided_differences_of_H():
 
 def test_chain_endpoint_identities():
     for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 2.0, 3.5, 8.0):
-        ctx = ChainContext.from_c(c)
-        assert abs(chain_eval("v", ctx, 1.0)) <= 1e-10
-        assert abs(chain_eval("v_prime", ctx, 1.0)) <= 1e-10
-        assert abs(chain_eval("v_dprime", ctx, 1.0)) <= 1e-10
+        assert abs(chain_eval("v", c, 1.0)) <= 1e-10
+        assert abs(chain_eval("v_prime", c, 1.0)) <= 1e-10
+        assert abs(chain_eval("v_dprime", c, 1.0)) <= 1e-10
         want = 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0) ** 2
-        assert chain_eval("v_tprime", ctx, 1.0) == pytest.approx(want, rel=1e-8)
-        assert chain_eval("h", ctx, 1.0) == 0.0
-        assert chain_eval("f", ctx, 1.0) == 0.0
-        assert chain_eval("w", ctx, 1.0) == pytest.approx(c - 1.0, rel=1e-12)
-        assert chain_eval("p_quad", ctx, 1.0) == pytest.approx(9.0 - 4.0 * c, rel=1e-12)
-    ctx = ChainContext.from_c(1.3)
-    assert chain_eval("m", ctx, 1.0) == pytest.approx(1.0 - 1.3, rel=1e-12)
-    ctx = ChainContext.from_c(3.5)
-    assert chain_eval("b_factor", ctx, 1.0) == pytest.approx(
+        assert chain_eval("v_tprime", c, 1.0) == pytest.approx(want, rel=1e-8)
+        assert chain_eval("h", c, 1.0) == 0.0
+        assert chain_eval("f", c, 1.0) == 0.0
+        assert chain_eval("w", c, 1.0) == pytest.approx(c - 1.0, rel=1e-12)
+        assert chain_eval("p_quad", c, 1.0) == pytest.approx(9.0 - 4.0 * c, rel=1e-12)
+    assert chain_eval("m", 1.3, 1.0) == pytest.approx(1.0 - 1.3, rel=1e-12)
+    assert chain_eval("b_factor", 3.5, 1.0) == pytest.approx(
         (3.5 + 6.0) * (3.5 - 1.0), rel=1e-12
     )
 
 
 def test_chain_c2_factorization():
-    ctx = ChainContext.from_c(2.0)
-    assert chain_eval("q_factor", ctx, 0.5) == pytest.approx(-0.625, abs=1e-15)
+    c = 2.0
+    assert chain_eval("q_factor", c, 0.5) == pytest.approx(-0.625, abs=1e-15)
     ts = np.linspace(1e-3, 1.0, 1000)
     for t in ts:
         t = float(t)
         factored = (t - 1.0) * (5.0 * t * t - 16.0 * t + 8.0)
-        assert chain_eval("q_factor", ctx, t) == pytest.approx(factored, abs=1e-12)
+        assert chain_eval("q_factor", c, t) == pytest.approx(factored, abs=1e-12)
 
 
 def test_h0_values():
-    assert chain_eval("h0", ChainContext.from_c(0.3), 0.5) == pytest.approx(
+    assert chain_eval("h0", 0.3, 0.5) == pytest.approx(
         -0.05921336439723481, rel=1e-13
     )
-    assert chain_eval("h0", ChainContext.from_c(0.7), 0.5) == pytest.approx(
+    assert chain_eval("h0", 0.7, 0.5) == pytest.approx(
         0.23356675154201256, rel=1e-13
     )
-    assert chain_eval("h0", ChainContext.from_c(-1.0), 0.5) == -math.inf
-    assert chain_eval("h0", ChainContext.from_c(1.5), 0.5) == math.inf
+    assert chain_eval("h0", -1.0, 0.5) == -math.inf
+    assert chain_eval("h0", 1.5, 0.5) == math.inf
 
 
 def test_h0_is_the_limit_of_h():
     # convergence rate is O(t^min(c,1-c)): slow, so compare along a sequence
     for c in (0.3, 0.7):
-        ctx = ChainContext.from_c(c)
-        h0 = chain_eval("h0", ctx, 0.5)
-        gaps = [abs(chain_eval("h", ctx, t) - h0) for t in (1e-6, 1e-9, 1e-12)]
+        h0 = chain_eval("h0", c, 0.5)
+        gaps = [abs(chain_eval("h", c, t) - h0) for t in (1e-6, 1e-9, 1e-12)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 3e-4
     # divergence with the correct sign
-    assert chain_eval("h", ChainContext.from_c(-1.0), 1e-9) < -10.0
-    assert chain_eval("h", ChainContext.from_c(1.5), 1e-9) > 5.0
+    assert chain_eval("h", -1.0, 1e-9) < -10.0
+    assert chain_eval("h", 1.5, 1e-9) > 5.0
 
 
 def test_chain_eval_errors():
-    ctx = ChainContext.from_c(0.3)
+    c = 0.3
     with pytest.raises(DomainError):
-        chain_eval("v", ctx, 0.0)
+        chain_eval("v", c, 0.0)
     with pytest.raises(DomainError):
-        chain_eval("v", ctx, 1.5)
+        chain_eval("v", c, 1.5)
     with pytest.raises(NameRequiresC):
-        chain_eval("nope", ctx, 0.5)
+        chain_eval("nope", c, 0.5)
     with pytest.raises(NameRequiresC):
-        chain_eval("h0", ChainContext.from_c(1.0), 0.5)
+        chain_eval("h0", 1.0, 0.5)
 
 
 def test_derivative_consistency():
     # central differences of f against the displayed derivative
     h = 1e-6
     for c in (-1.0, 0.3, 0.7, 3.0):
-        ctx = ChainContext.from_c(c)
         for t in np.linspace(0.05, 0.95, 46):
             t = float(t)
-            fd = (chain_eval("f", ctx, t + h) - chain_eval("f", ctx, t - h)) / (2 * h)
-            fp = chain_eval("f_prime", ctx, t)
+            fd = (chain_eval("f", c, t + h) - chain_eval("f", c, t - h)) / (2 * h)
+            fp = chain_eval("f_prime", c, t)
             assert fd == pytest.approx(fp, rel=1e-6, abs=1e-9)
 
 
 def test_derivative_factorization():
     # f' = (1-c)(1-t)/(t(1+t)) * (1/(X^c+1) - 1/fraction)
     for c in (-1.0, 0.3, 0.7, 3.0):
-        ctx = ChainContext.from_c(c)
         for t in np.linspace(0.05, 0.95, 19):
             t = float(t)
             x_big = (1.0 + t) ** 2 / (4.0 * t)
             bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / audit._fraction_double(c, np.array([t]))[0]
             want = (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
-            assert chain_eval("f_prime", ctx, t) == pytest.approx(want, rel=1e-10)
+            assert chain_eval("f_prime", c, t) == pytest.approx(want, rel=1e-10)
 
 
 def test_fraction_lemma():
@@ -275,15 +268,15 @@ def test_local_scale_is_the_window_max(n):
 
 
 def test_sign_changes_rejects_coarse_grid():
-    ctx = ChainContext.from_c(0.3)
-    pattern = sign_changes("v_dprime", ctx, 2000)
+    c = 0.3
+    pattern = sign_changes("v_dprime", c, 2000)
     assert pattern.overall is PatternKind.PLUS_TO_MINUS
     lo, hi = pattern.crossings[0].bracket_lo, pattern.crossings[0].bracket_hi
     assert 0.0 < hi - lo <= 1e-10
-    assert chain_eval("v_dprime", ctx, lo) > 0.0 > chain_eval("v_dprime", ctx, hi)
+    assert chain_eval("v_dprime", c, lo) > 0.0 > chain_eval("v_dprime", c, hi)
 
     with pytest.raises(TooCoarse):
-        sign_changes("v_dprime", ctx, 500)
+        sign_changes("v_dprime", c, 500)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
@@ -291,7 +284,7 @@ def test_sign_changes_rejects_coarse_grid():
 def test_sign_changes_rejects_degenerate_c(name, c):
     # at c = 1/2 f', g and h vanish identically; at c = 1 they divide by 1 - c
     with pytest.raises(ExponentOutOfRange, match="degenerates"):
-        sign_changes(name, ChainContext.from_c(c), 1000)
+        sign_changes(name, c, 1000)
 
 
 @pytest.mark.parametrize("mode", ["double", "high"])
@@ -300,16 +293,16 @@ def test_chain_eval_rejects_c_one(name, mode, monkeypatch):
     monkeypatch.setenv("SHARPLP_PRECISION", mode)
     for t in (1e-3, 0.5, 1.0):
         with pytest.raises(ExponentOutOfRange):
-            chain_eval(name, ChainContext.from_c(1.0), t)
-    assert chain_eval("f", ChainContext.from_c(1.0), 0.5) == 0.0
+            chain_eval(name, 1.0, t)
+    assert chain_eval("f", 1.0, 0.5) == 0.0
 
 
 def test_sign_changes_chain_examples():
-    pattern = sign_changes("f_prime", ChainContext.from_c(0.3), 2000)
+    pattern = sign_changes("f_prime", 0.3, 2000)
     assert pattern.overall is PatternKind.PLUS_TO_MINUS
     assert len(pattern.crossings) == 1
 
-    pattern = sign_changes("f_prime", ChainContext.from_c(-1.0), 2000)
+    pattern = sign_changes("f_prime", -1.0, 2000)
     assert pattern.overall is PatternKind.POSITIVE
     assert len(pattern.crossings) == 0
 
@@ -317,7 +310,7 @@ def test_sign_changes_chain_examples():
 def test_sign_changes_finds_crossing_below_truncation():
     # for small c the g/h crossing falls below delta = 1e-6; the limit-sign
     # augmentation must still report it
-    pattern = sign_changes("g", ChainContext.from_c(0.05), 2000)
+    pattern = sign_changes("g", 0.05, 2000)
     assert pattern.overall is PatternKind.MINUS_TO_PLUS
     assert pattern.crossings[0].bracket_hi <= 1e-6
 
@@ -329,7 +322,7 @@ def test_sign_changes_finds_crossing_below_truncation():
 def test_sign_changes_escalates_non_finite_samples(name, c, grid_size, kind):
     # for c << 0 one term of an opposite-sign sum overflows first: the double
     # v at c = -1000 is -inf near t = 0.706, where its 50-digit value is +1.4e307
-    pattern = sign_changes(name, ChainContext.from_c(c), grid_size)
+    pattern = sign_changes(name, c, grid_size)
     assert pattern.overall is kind and pattern.crossings == ()
 
 
@@ -337,8 +330,7 @@ def test_sign_changes_escalates_non_finite_samples(name, c, grid_size, kind):
 def test_sign_changes_finds_crossing_above_truncation(c):
     # for large c the v'' crossing sits near t = 1 - 1.6/c, inside the
     # truncated band (1 - delta, 1); the t -> 1- limit sign must still report it
-    ctx = ChainContext.from_c(c)
-    pattern = sign_changes("v_dprime", ctx, 1000)
+    pattern = sign_changes("v_dprime", c, 1000)
     assert pattern.overall is PatternKind.MINUS_TO_PLUS
     (crossing,) = pattern.crossings
     assert 1.0 - audit.DEFAULT_DELTA <= crossing.bracket_lo < crossing.bracket_hi <= 1.0
@@ -366,7 +358,7 @@ def test_right_limit_signs_match_fifty_digits():
 def test_no_crossing_below_delta_from_a_wrong_left_limit(name, c):
     # outside the c ranges the audit covers, a t -> 0+ sign written per name
     # contradicted the function and made up a crossing at (0, 1e-18)
-    pattern = sign_changes(name, ChainContext.from_c(c), 1000)
+    pattern = sign_changes(name, c, 1000)
     assert all(x.bracket_hi > audit.DEFAULT_DELTA for x in pattern.crossings)
 
 
@@ -411,33 +403,33 @@ def test_expected_patterns_table():
 
 
 def test_audit_chain_selected_cases():
-    rep = audit_chain(ChainContext.from_c(0.3), 2000)
+    rep = audit_chain(0.3, 2000)
     assert rep.all_match and rep.fraction_ok
 
-    rep = audit_chain(ChainContext.from_c(2.0), 2000)
+    rep = audit_chain(2.0, 2000)
     assert rep.patterns["f_prime"].observed.overall is PatternKind.PLUS_TO_MINUS
     assert rep.patterns["g"].observed.overall is PatternKind.PLUS_TO_MINUS
     assert rep.patterns["v"].observed.overall is PatternKind.MINUS_TO_PLUS
     assert rep.all_match
 
-    rep = audit_chain(ChainContext.from_c(-0.5), 2000)
+    rep = audit_chain(-0.5, 2000)
     assert rep.patterns["f_prime"].observed.overall is PatternKind.POSITIVE
     assert rep.patterns["g"].observed.overall is PatternKind.NEGATIVE
     assert rep.patterns["v"].observed.overall is PatternKind.POSITIVE
     assert rep.all_match
 
     with pytest.raises(ExponentOutOfRange):
-        audit_chain(ChainContext.from_c(0.5), 2000)
+        audit_chain(0.5, 2000)
 
 
 def test_audit_chain_extras_scoped():
-    rep = audit_chain(ChainContext.from_c(1.3), 2000)
+    rep = audit_chain(1.3, 2000)
     assert "m" in rep.extras and rep.extras["m"].match
     assert "u" not in rep.extras
-    rep = audit_chain(ChainContext.from_c(3.5), 2000)
+    rep = audit_chain(3.5, 2000)
     assert "u" in rep.extras and rep.extras["u"].match
     assert "b_factor" in rep.extras and rep.extras["b_factor"].match
-    rep = audit_chain(ChainContext.from_c(0.3), 2000)
+    rep = audit_chain(0.3, 2000)
     assert "w" in rep.extras and rep.extras["w"].match
     assert "p_quad" in rep.extras and rep.extras["p_quad"].match
 
@@ -445,10 +437,10 @@ def test_audit_chain_extras_scoped():
 def test_high_precision_chain_eval(monkeypatch):
     import mpmath
 
-    ctx = ChainContext.from_c(0.3)
-    low = chain_eval("v", ctx, 0.37)
+    c = 0.3
+    low = chain_eval("v", c, 0.37)
     monkeypatch.setenv("SHARPLP_PRECISION", "high")
-    high = chain_eval("v", ctx, 0.37)
+    high = chain_eval("v", c, 0.37)
     assert isinstance(high, mpmath.mpf)
     assert float(high) == pytest.approx(low, rel=1e-12)
 
@@ -540,11 +532,10 @@ def test_classify_matches_reference_scan(seq, salt):
 # one c per claim region: c < 0, (0, 1/2), (1/2, 1), (1, 2), c > 2
 @pytest.mark.parametrize("c", [-1.0, 0.3, 0.7, 1.3, 3.5])
 def test_sign_changes_matches_reference_scan(c, monkeypatch):
-    ctx = ChainContext.from_c(c)
     names = [n for n in CHAIN_NAMES if n != "h0"]
-    got = [sign_changes(name, ctx, 1000) for name in names]
+    got = [sign_changes(name, c, 1000) for name in names]
     monkeypatch.setattr(audit, "_classify", _reference_classify)
-    assert got == [sign_changes(name, ctx, 1000) for name in names]
+    assert got == [sign_changes(name, c, 1000) for name in names]
 
 
 @pytest.mark.parametrize("c", [1e300, -1e300, 1e200, 1e100, 1e9, -1e9])
@@ -556,7 +547,7 @@ def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
 
     monkeypatch.setattr(audit, "_mp_chain", no_escalation)
     with pytest.raises(NumericRange):
-        audit_chain(ChainContext.from_c(c))
+        audit_chain(c)
 
 
 # the audit's default c grid, and large |c| where the double grid is NaN-heavy

@@ -96,7 +96,7 @@ def test_verify_p_list(tmp_path):
 
 def test_audit_single_c(tmp_path):
     code, out = _run(
-        ["audit", "--c", "0.3", "--points", "2000"], tmp_path, "audit.json"
+        ["audit", "--c-grid=0.3", "--points", "2000"], tmp_path, "audit.json"
     )
     assert code == 0
     reports = json.loads(out.read_text(encoding="utf-8"))
@@ -112,7 +112,7 @@ def test_audit_single_c(tmp_path):
 def test_audit_large_c_matches(tmp_path):
     # the v'' crossing sits in the truncated band (1 - 1e-6, 1) at c = 1e7:
     # it is a found crossing, not a failed check
-    code, out = _run(["audit", "--c", "1e7", "--points", "1000"], tmp_path, "audit.json")
+    code, out = _run(["audit", "--c-grid=1e7", "--points", "1000"], tmp_path, "audit.json")
     assert code == 0
     (rep,) = json.loads(out.read_text(encoding="utf-8"))
     entry = rep["patterns"]["v_dprime"]
@@ -125,7 +125,7 @@ def test_audit_large_negative_c_keeps_its_fraction(c, fraction_min, tmp_path, ca
     # it is read divided through by t^c instead of as inf or NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = _run(["audit", f"--c={c}", "--points", "1000"], tmp_path, "audit.json")
+        code, out = _run(["audit", f"--c-grid={c}", "--points", "1000"], tmp_path, "audit.json")
     assert code == 0
     assert capsys.readouterr().err == ""
     (rep,) = json.loads(out.read_text(encoding="utf-8"))
@@ -142,7 +142,7 @@ def test_bad_precision_mode_exits_2(monkeypatch, capsys):
 
 
 def test_audit_rejects_special_c(tmp_path, capsys):
-    config = parse_config(["audit", "--c", "0.5"])
+    config = parse_config(["audit", "--c-grid=0.5"])
     assert run(config) == 2
 
 
@@ -208,9 +208,11 @@ def test_contour_json_format(tmp_path):
 
 
 def test_json_commands_reject_csv_format(tmp_path, capsys):
-    config = parse_config(["verify", "--trials", "1", "--format", "csv"])
-    assert run(config) == 2
-    assert "JSON only" in capsys.readouterr().err
+    # --format belongs to contour only; argparse rejects it elsewhere
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["verify", "--trials", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -260,7 +262,7 @@ def test_contour_stdout_matches_out_file(tmp_path, capsys):
         ["sharpness", "--p-list", "nan"],
         ["sharpness", "--r", "nan"],
         ["audit", "--c-grid=nan"],
-        ["audit", "--c", "inf"],
+        ["audit", "--c", "inf"],  # argparse reads --c as the prefix of --c-grid
         ["contour", "--p-max", "inf"],
     ],
     ids=" ".join,
@@ -277,6 +279,7 @@ def test_bad_input_is_a_usage_error(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        # argparse reads --c as the prefix of --c-grid
         ["audit", "--c", "1e300"],
         ["audit", "--c", "1e200"],
         ["audit", "--c=-1e9"],
@@ -298,6 +301,40 @@ def test_exponent_out_of_range_exits_2(argv, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def _p_argv(command, p):
+    """The argv that hands the one exponent p to a p-taking command."""
+    return {
+        "verify": ["verify", f"--p-list={p!r}", "--trials", "2"],
+        "means": ["means", f"--p-list={p!r}", "--trials", "2"],
+        "sharpness": ["sharpness", f"--p-list={p!r}"],
+        "contour": ["contour", f"--p-min={p!r}", f"--p-max={p + 1.0!r}", "--na", "2", "--np", "2"],
+        "audit": ["audit", f"--c-grid={1.0 / p!r}", "--points", "1000"],
+    }[command]
+
+
+P_COMMANDS = ("verify", "means", "sharpness", "contour", "audit")
+
+
+@pytest.mark.parametrize("mode", ["double", "high"])
+@pytest.mark.parametrize("p", [1e-10, -1e-10, 1.0 + 1e-10, 2.0 - 1e-10])
+@pytest.mark.parametrize("command", P_COMMANDS)
+def test_exponent_near_miss_exits_2(command, p, mode, monkeypatch, capsys):
+    # every p-taking command applies the one exponent rule of the library
+    monkeypatch.setenv("SHARPLP_PRECISION", mode)
+    assert run(parse_config(_p_argv(command, p))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("command, code", zip(P_COMMANDS, (0, 0, 2, 0, 2)))
+def test_exact_identity_exponents_keep_their_exit_codes(command, code, p, capsys):
+    # sharpness probes away from p in {1, 2}; the audit claims no pattern at c in {1/2, 1}
+    assert run(parse_config(_p_argv(command, p))) == code
 
 
 def test_cli_imports_without_scipy():
@@ -323,6 +360,7 @@ def test_cli_imports_without_scipy():
     [
         # sizes beyond numpy's index range, refused before anything is allocated
         ["verify", "--points", "1000000000000000000", "--trials", "2"],
+        # argparse reads --c as the prefix of --c-grid
         ["audit", "--c", "0.3", "--points", "10000000000000000000"],
         ["contour", "--np", "10000000000000000000"],
         ["contour", "--na", "10000000000000000000"],

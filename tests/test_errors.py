@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sharplp.audit import ChainContext
+from sharplp.audit import chain_eval
 from sharplp.campaigns import means_campaign, schatten_campaign, verify_campaign
 from sharplp.errors import SharpLpError
 from sharplp.measure import MeasureSpace, SimpleFunction, check_stack
@@ -32,8 +32,7 @@ def _bad_mode():
 ONES = np.ones((1, 2))
 
 BAD_INPUTS = {
-    "chain_c_subnormal": lambda: ChainContext.from_c(1e-320),
-    "chain_c_not_inverse": lambda: ChainContext(p=2.0, c=0.3),
+    "chain_c_subnormal": lambda: chain_eval("f", 1e-320, 0.5),
     "space_2d": lambda: MeasureSpace([[1.0]]),
     "space_empty": lambda: MeasureSpace([]),
     "space_negative_mass": lambda: MeasureSpace([1.0, -1.0]),

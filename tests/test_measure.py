@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharplp.campaigns import (
+    factor_grid,
+    means_campaign,
+    sharpness_campaign,
+    verify_campaign,
+)
 from sharplp.errors import (
+    ExponentOutOfRange,
     MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
@@ -18,6 +25,7 @@ from sharplp.measure import (
     RegionKind,
     SimpleFunction,
     _log_functional_rows,
+    check_p_value,
     lp_functional,
     lp_functional_rows,
     lp_norm,
@@ -197,3 +205,28 @@ def test_reduce_log_domain_exponents():
         alpha, prob = reduce_to_probability(f, g, w, p)
         assert abs(prob.weights.sum() - 1.0) <= 1e-14
         np.testing.assert_allclose(alpha.values, f.values / (f.values + g.values))
+
+
+def test_exponent_rule():
+    with pytest.raises(ZeroExponent):
+        check_p_value(0.0)
+    for p in (1.0, 2.0, -2e-9, 1.0 + 2e-9, 3.0):
+        assert check_p_value(p) == p
+    for p in (1e-10, -5e-10, 1.0 - 5e-10, 1.0 + 1e-10, 2.0 - 1e-10, 2.0 + 5e-10):
+        with pytest.raises(ExponentOutOfRange, match="within 1e-9"):
+            check_p_value(p)
+
+
+@pytest.mark.parametrize(
+    "campaign",
+    [
+        lambda p: verify_campaign(trials=1, forward_ps=(3.0,), reverse_ps=(p,)),
+        lambda p: means_campaign(trials=1, ps=(3.0, p)),
+        lambda p: sharpness_campaign((3.0, p), 1.1),
+        lambda p: factor_grid(0.5, 1.0, p, p + 1.0, 2, 2),
+    ],
+    ids=["verify", "means", "sharpness", "factor_grid"],
+)
+def test_campaigns_apply_the_exponent_rule(campaign):
+    with pytest.raises(ExponentOutOfRange, match="within 1e-9 of 1.0"):
+        campaign(1.0 + 1e-10)

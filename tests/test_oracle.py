@@ -18,7 +18,7 @@ import pytest
 
 import oracle
 from sharplp import audit
-from sharplp.audit import ChainContext, _b, chain_eval, h_of_a, hyperbolic_point
+from sharplp.audit import _b, chain_eval, h_of_a, hyperbolic_point
 from sharplp.cli import DEFAULT_C_GRID
 from sharplp.doubling import psi
 from sharplp.errors import NumericRange
@@ -73,13 +73,12 @@ def test_backends_match_oracle(mode, p, monkeypatch):
 @pytest.mark.parametrize("c", [-2.5, 0.3, 0.7, 1.3, 3.5])
 def test_derived_chain_matches_oracle(mode, c, monkeypatch):
     monkeypatch.setenv("SHARPLP_PRECISION", mode)
-    ctx = ChainContext.from_c(c)
     errors = {}
     for name in ("v_prime", "q_factor", "u", "m"):
         for t in (0.05, 0.2, 0.45, 0.7):
             want = getattr(oracle, name)(t, c)
             with mpmath.workdps(oracle.DPS):
-                errors[f"{name}({t})"] = abs(mpmath.mpf(chain_eval(name, ctx, t)) / want - 1)
+                errors[f"{name}({t})"] = abs(mpmath.mpf(chain_eval(name, c, t)) / want - 1)
     worst = max(errors, key=errors.get)
     assert errors[worst] <= REL_TOL[mode], (worst, mpmath.nstr(errors[worst], 3))
 
