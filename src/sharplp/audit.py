@@ -18,21 +18,26 @@ against the claimed ones.  Both take c itself and hold it to one c rule
 
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
-at 50 digits on mpf, scalars or object arrays, which is how ``sign_changes``
-escalates its samples; at 50 digits c is one mpf.  f', g and h share one
-formula for their second factor F (``_fraction``).  Every other chain
-function is a power sum, held as the table of its rows: a row (a, i, j) is
-the term a t^(i + j c), its exponent kept exact as the small integers i and
-j and its coefficient a formed from c in ``xp``.  The exponent's value
-b = i + j c is formed once per (name, c), where the table is cached.  Only
-v, w, p_quad and b_factor are written out.  From v's table come v', v'',
-q = v''/(2c) and u = t^(3-2c) q; from w's, v''' = 2c(1-2c)(c-1) t^(c-3) w
-and m = -t^(1-c) w.  A power sum's t -> 0+ sign is read from its table.
+at 50 digits on an object array of mpf (``_mp_chain``), which is how
+``sign_changes`` escalates its samples; at 50 digits c is one mpf.  f', g
+and h share one formula for their second factor F (``_fraction``).  Every
+other chain function is a power sum, held as the table of its rows: a row
+(a, i, j) is the term a t^(i + j c), its exponent kept exact as the small
+integers i and j and its coefficient a formed from c in ``xp``.  The
+exponent's value b = i + j c is formed once per (name, c), where the table
+is cached.  Only v, w, p_quad and b_factor are written out.  From v's table
+come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
+v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's t -> 0+
+sign is read from its table.
 
 A 50-digit power is an exp and a log, so each is taken once: a power sum
 takes t^c once per sample and builds every t^i (t^c)^j from it by
 multiplication (an integer exponent stays one t ** b), and f', g and h take
-t^c once too.  Doubles keep one numpy power t ** b per term.
+t^c once too.  The functions of one c mostly escalate the same samples, the
+edge guard bands', so ``_mp_chain`` keeps one c's samples with what the
+formulas share on them (``_shared``: t^c, each monomial, X, X^c and F) until
+the next c or sample set; each is the same mpf a lone function would take.
+Doubles keep one numpy power t ** b per term and share nothing.
 """
 from __future__ import annotations
 
@@ -296,16 +301,78 @@ def _check_c(c: float) -> float:
     return c
 
 
-def _fraction(c, t, tc):
-    """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor,
-    with ``tc`` = t^c."""
+@dataclass(frozen=True)
+class _Escalation:
+    """One c's escalated samples at 50 digits: c and t as mpf, and the
+    quantities the chain functions share on them, by (function, arguments)."""
+
+    key: tuple
+    c: object
+    t: np.ndarray
+    shared: dict
+
+
+# the samples ``_mp_chain`` evaluated last; the next c or sample set replaces it
+_escalation: _Escalation | None = None
+
+
+def _shared(fn):
+    """``fn(xp, c, t, *args)``, taken once per ``args`` on the samples of
+    ``_escalation`` and called plainly on any other t."""
+
+    def once(xp, c, t, *args):
+        entry = _escalation
+        if entry is None or t is not entry.t:
+            return fn(xp, c, t, *args)
+        key = (fn, args)
+        if key not in entry.shared:
+            entry.shared[key] = fn(xp, c, t, *args)
+        return entry.shared[key]
+
+    return once
+
+
+@_shared
+def _t_to_c(xp, c, t):
+    return t ** c
+
+
+@_shared
+def _x_big(xp, c, t):
+    """X = (1+t)^2/(4t)."""
+    return (1.0 + t) ** 2 / (4.0 * t)
+
+
+@_shared
+def _x_big_to_c(xp, c, t):
+    return _x_big(xp, c, t) ** c
+
+
+@_shared
+def _fraction(xp, c, t):
+    """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
+    tc = _t_to_c(xp, c, t)
     return (tc + 1.0) * (1.0 - c) * (1.0 - t) / (tc - t)
+
+
+@_shared
+def _monomial(xp, c, t, b, i, j):
+    """t^b for b = i + j c.  Doubles take one numpy power.  At 50 digits a
+    power is an exp and a log, so t^b is t^i (t^c)^j, built by multiplication
+    from the one t^c.  An integer-valued b stays one t ** b, which rounds once
+    where the product rounds twice; when c is an integer, so is every b, and
+    t^c is not taken at all."""
+    if xp is FLOAT or mpmath.isint(c) or mpmath.isint(b):
+        return t ** b
+    tc = _t_to_c(xp, c, t)
+    tcj = tc if j == 1 else tc ** j  # (t^c)^1 and a factor t^0 are exact
+    return tcj if i == 0 else t ** i * tcj
 
 
 def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
     """``_fraction`` on doubles, divided through by t^c where t^c overflows."""
     with np.errstate(all="ignore"):
-        fraction = _fraction(c, t, t ** c)
+        fraction = _fraction(FLOAT, c, t)
         lost = ~np.isfinite(fraction)
         tl = t[lost]
         fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
@@ -314,28 +381,24 @@ def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
 
 # f, f', g and h keep the array left of c (see ``_mp_chain``)
 def _chain_f(xp, c, t):
-    x_big = (1.0 + t) ** 2 / (4.0 * t)
     return (
-        -xp.log1p(t ** c) / c
+        -xp.log1p(_t_to_c(xp, c, t)) / c
         + xp.log1p(t)
-        + xp.log1p((1.0 / x_big) ** c) * ((1.0 - c) / c)
+        + xp.log1p((1.0 / _x_big(xp, c, t)) ** c) * ((1.0 - c) / c)
     )
 
 
 def _chain_f_prime(xp, c, t):
-    x_big = (1.0 + t) ** 2 / (4.0 * t)
-    bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / _fraction(c, t, t ** c)
+    bracket = 1.0 / (_x_big_to_c(xp, c, t) + 1.0) - 1.0 / _fraction(xp, c, t)
     return (1.0 - t) * (1.0 - c) / (t * (1.0 + t)) * bracket
 
 
 def _chain_g(xp, c, t):
-    x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return x_big ** c - (_fraction(c, t, t ** c) - 1.0)
+    return _x_big_to_c(xp, c, t) - (_fraction(xp, c, t) - 1.0)
 
 
 def _chain_h(xp, c, t):
-    x_big = (1.0 + t) ** 2 / (4.0 * t)
-    return xp.log(x_big) * c - xp.log(_fraction(c, t, t ** c) - 1.0)
+    return xp.log(_x_big(xp, c, t)) * c - xp.log(_fraction(xp, c, t) - 1.0)
 
 
 def _d(rows, c):
@@ -408,25 +471,12 @@ def _cached_table(name: str, c, prec: int | None) -> tuple:
 
 
 def _power_sum(name: str, xp, c, t):
-    """The sum of the table's terms at t.
-
-    Doubles take t ** b for every term, one numpy power each.  At 50 digits
-    a power is an exp and a log, so t^c is taken once per sample and each
-    t^b is t^i (t^c)^j, built by multiplication.  An integer-valued b stays
-    one t ** b, which rounds once where the product rounds twice; when c is
-    an integer, so is every b, and t^c is not taken at all.  t stays left of
-    each product (see ``_mp_chain``).
-    """
+    """The sum of the table's terms a t^b at t, each power a ``_monomial``;
+    t stays left of each product (see ``_mp_chain``)."""
     terms = _table(name, xp, c)
-    tc = None if xp is FLOAT or mpmath.isint(c) else t ** c
-
-    def power(b, i, j):
-        if tc is None or mpmath.isint(b):
-            return t ** b
-        tcj = tc if j == 1 else tc ** j  # (t^c)^1 and a factor t^0 are exact
-        return tcj if i == 0 else t ** i * tcj
-
-    return functools.reduce(operator.add, (power(b, i, j) * a for a, b, i, j in terms))
+    return functools.reduce(
+        operator.add, (_monomial(xp, c, t, b, i, j) * a for a, b, i, j in terms)
+    )
 
 
 # name -> formula(xp, c, t), one per chain function of t
@@ -467,6 +517,8 @@ def chain_eval(name: str, c: float, t: float) -> float:
     with backend() as xp:
         if t == 1.0 and name in _AT_ONE:
             return xp.asarray(_AT_ONE[name])
+        if xp is MP:
+            return _mp_chain(name, c, np.array([t]))[0]
         with np.errstate(all="ignore"):
             return _CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t))
 
@@ -539,12 +591,30 @@ def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
     """The chain function at 50 digits on the samples ``t``, as one object
     array of mpf, with c one mpf.
 
+    The functions of one c mostly escalate the same samples, those of the
+    edge guard bands, so c, t and what the formulas share on them (t^c, each
+    monomial t^b, X and X^c, F; see ``_shared``) are kept in ``_escalation``
+    until the next c or sample set.  Each is the same mpf as when taken anew.
+    A single sample, a bisection probe or ``chain_eval``, is one no other
+    function asks for: it shares on itself for this call only and leaves the
+    kept samples in place.  (A scanned grid escalates at least its two end
+    samples.)
+
     An mpf left of an object array first fails to convert it, and the failure
     formats the whole array at 50 digits, so every formula keeps the array
     left of c.
     """
+    global _escalation
+    kept, key = _escalation, (c, t.tobytes())
     with mp_workdps() as xp:
-        return _CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t))
+        if kept is None or kept.key != key:
+            _escalation = _Escalation(key, xp.asarray(c), xp.asarray(t), {})
+        entry = _escalation
+        try:
+            return _CHAIN_FLOAT[name](xp, entry.c, entry.t)
+        finally:
+            if t.size == 1:
+                _escalation = kept
 
 
 def _classify(
@@ -596,8 +666,11 @@ def _classify(
 
 def _local_scale(mags: np.ndarray) -> np.ndarray:
     """The max of ``mags`` over each sample's 5-sample window, edge-padded."""
-    padded = np.pad(mags, 2, mode="edge")
-    return np.max([padded[k : k + mags.size] for k in range(5)], axis=0)
+    padded, n = np.pad(mags, 2, mode="edge"), mags.size
+    scale = np.maximum(padded[:n], padded[1 : n + 1])
+    for k in range(2, 5):
+        np.maximum(scale, padded[k : k + n], out=scale)
+    return scale
 
 
 def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
@@ -615,8 +688,10 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     nonzero samples of opposite sign (zero samples are skipped), and only
     those pairs reach Python, where each is bisected to a bracket of width
     1e-10.  The escalated samples are evaluated together, as one 50-digit
-    object array; only the bisection probes go to 50 digits one at a time,
-    each as an array of one sample.
+    object array, which shares t^c, the monomials and F with the other
+    functions of this c on the same samples (``_mp_chain``); only the
+    bisection probes go to 50 digits one at a time, each as an array of one
+    sample.
     No Python loop runs over the grid's samples.  c must pass the audit's
     c rule (``_check_c``): it raises ExponentOutOfRange at c in {1/2, 1},
     where the chain degenerates, and NumericRange for |c| >= 1e9 (p = 1/c

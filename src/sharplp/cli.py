@@ -15,6 +15,7 @@ code 2.  Output is JSON, except ``contour``, whose ``--format`` picks CSV
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,7 +67,10 @@ def _check_finite_options(options: dict[str, Any]) -> None:
             raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every command line reuses it."""
     parser = argparse.ArgumentParser(
         prog="sharplp",
         description="Verification toolkit for the sharpened p-th power triangle bound.",

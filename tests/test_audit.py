@@ -550,15 +550,31 @@ def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
         audit_chain(c)
 
 
-# the audit's default c grid, and large |c| where the double grid is NaN-heavy
+# the audit's default c grid (2.0: every exponent an integer), and large |c|
+# where the double grid is NaN-heavy
 @pytest.mark.parametrize("c", list(DEFAULT_C_GRID) + [1e3, 1e6, -1e6])
-def test_batched_escalation_equals_scalar_path(c):
+def test_batched_escalation_equals_scalar_path(c, monkeypatch):
     t = np.linspace(audit.DEFAULT_DELTA, 1.0 - audit.DEFAULT_DELTA, 10_000)
     t = t[(t <= audit._EDGE_GUARD) | (t >= 1.0 - audit._EDGE_GUARD)]
     assert t.size == 20
+    monkeypatch.setattr(audit, "_escalation", None)
+    first = {name: audit._mp_chain(name, c, t) for name in audit._CHAIN_FLOAT}
     for name, formula in audit._CHAIN_FLOAT.items():
+        # evaluated again once every other name has shared its quantities
         batched = audit._mp_chain(name, c, t)
         with mp_workdps() as xp:
             scalar = [formula(xp, xp.asarray(c), xp.asarray(x)) for x in t.tolist()]
         # _mpf_ is the exact binary value, NaN included
-        assert [v._mpf_ for v in batched] == [v._mpf_ for v in scalar], (name, c)
+        want = [v._mpf_ for v in scalar]
+        assert [v._mpf_ for v in first[name]] == want, (name, c)
+        assert [v._mpf_ for v in batched] == want, (name, c)
+
+
+# at 1e4 each function escalates a different sample set
+@pytest.mark.parametrize("c", [0.35, 3.5, -1000.0, 1e4])
+def test_audit_chain_equals_standalone_scans(c, monkeypatch):
+    report = audit_chain(c)
+    entries = {**report.patterns, **report.extras}
+    monkeypatch.setattr(audit, "_escalation", None)
+    for name in reversed(list(entries)):
+        assert sign_changes(name, c, 10_000) == entries[name].observed, (name, c)

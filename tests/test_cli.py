@@ -196,6 +196,25 @@ def test_parse_config_defaults():
     assert exc.value.code == 2
 
 
+def test_parser_is_reused_after_a_rejection(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["verify", "--seed", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    first = parse_config(["verify", "--seed", "3", "--trials", "7", "--out", "a.json"])
+    second = parse_config(["audit", "--c-grid=0.35"])
+    assert first == CommandConfig(
+        "verify", "json", "a.json",
+        {"p_list": None, "seed": 3, "trials": 7, "points": cli.campaigns.MAX_POINTS},
+    )
+    assert second == CommandConfig(
+        "audit", "json", None, {"c_grid": "0.35", "points": 10_000}
+    )
+    # the first parse left nothing behind: defaults are back
+    assert parse_config(["verify"]).options["seed"] == 0
+
+
 def test_contour_json_format(tmp_path):
     out = tmp_path / "grid.json"
     config = parse_config(
