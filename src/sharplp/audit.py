@@ -13,8 +13,8 @@ statements on (0, 1).  ``sign_changes`` locates crossings on a grid with
 bisection refinement, escalating to high precision where double precision
 cannot certify a sign, and ``audit_chain`` compares the observed patterns
 against the claimed ones.  Both take c itself and hold it to one c rule
-(``_check_c``): c != 0 with 1/c finite, |c| < 1e9, the exponent rule of
-``measure`` on p = 1/c, and c not in {1/2, 1}.
+(``_check_c``): c != 0 with 1/c finite, 1e-5 <= |c| < 1e9, the exponent
+rule of ``measure`` on p = 1/c, and c not in {1/2, 1}.
 
 Each formula is written once against a backend ``xp`` of ``precision``.
 ``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
@@ -48,7 +48,6 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -79,6 +78,13 @@ _BRACKET_WIDTH = 1e-10
 # too; the audit raises NumericRange first: t^c underflows or overflows on the
 # whole double grid, so every sample would go to 50 digits.
 _C_MAX = 1e9
+# Below this |c| (p = 1/c beyond 1e5) the audit raises NumericRange: t^c is
+# within |c log t| of 1, and near t = 1 f', g and h (and v) cancel to roundoff
+# that the ambiguity test misses.  A scan of 81 log-spaced |c| per sign in
+# [1e-8, 1e-4] at 1,000, 10,000 and 100,000 points found mismatched patterns
+# up to |c| = 2.24e-6 and none from 2.51e-6 on; at 50 digits f', g, h and v
+# keep one sign on [0.99, 1) at c = +-1e-8, 1e-7 and -2.24e-6.
+_C_MIN = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +287,19 @@ def _as_c(c: float) -> float:
 
 
 def _check_c(c: float) -> float:
-    """The c rule of the audit: ``_as_c``; |c| < 1e9; the exponent rule of
-    ``measure.check_p_value`` on p = 1/c; and c not in {1/2, 1}."""
+    """The c rule of the audit: ``_as_c``; 1e-5 <= |c| < 1e9; the exponent
+    rule of ``measure.check_p_value`` on p = 1/c; and c not in {1/2, 1}."""
     c = _as_c(c)
     if abs(c) >= _C_MAX:
         raise NumericRange(
             f"c = {c!r}: |c| >= 1e9 puts p = 1/c within 1e-9 of 0, where "
             "t^c is not a usable double on the grid"
+        )
+    if abs(c) < _C_MIN:
+        raise NumericRange(
+            f"c = {c!r}: |c| < 1e-5 leaves t^c within |c log t| of 1, where "
+            "f', g and h cancel to roundoff in doubles near t = 1 and the "
+            "scan's signs are not trustworthy"
         )
     try:
         check_p_value(1.0 / c)
@@ -362,7 +374,7 @@ def _monomial(xp, c, t, b, i, j):
     from the one t^c.  An integer-valued b stays one t ** b, which rounds once
     where the product rounds twice; when c is an integer, so is every b, and
     t^c is not taken at all."""
-    if xp is FLOAT or mpmath.isint(c) or mpmath.isint(b):
+    if xp is FLOAT or xp.isint(c) or xp.isint(b):
         return t ** b
     tc = _t_to_c(xp, c, t)
     tcj = tc if j == 1 else tc ** j  # (t^c)^1 and a factor t^0 are exact
@@ -460,7 +472,7 @@ def _table(name: str, xp, c) -> tuple:
     """The terms (a, b, i, j) of ``name`` at c: its rows with a and
     b = i + j c formed in the backend ``xp``, built once per (name, c) and
     backend."""
-    return _cached_table(name, c, mpmath.mp.prec if xp is MP else None)
+    return _cached_table(name, c, MP.prec() if xp is MP else None)
 
 
 @functools.lru_cache(maxsize=256)
@@ -695,7 +707,8 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     No Python loop runs over the grid's samples.  c must pass the audit's
     c rule (``_check_c``): it raises ExponentOutOfRange at c in {1/2, 1},
     where the chain degenerates, and NumericRange for |c| >= 1e9 (p = 1/c
-    within 1e-9 of 0), where t^c is not a usable double anywhere on the grid.
+    within 1e-9 of 0), where t^c is not a usable double anywhere on the grid,
+    and for |c| < 1e-5, where f', g and h cancel to roundoff near t = 1.
     """
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")

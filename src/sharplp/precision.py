@@ -10,7 +10,13 @@ Each formula is written once against a namespace ``xp`` holding ``exp``,
   float64, so ``**`` overflows to inf; ``require_finite`` turns a non-finite
   double into NumericRange.
 - ``MP`` evaluates mpmath at 50 digits, on mpf scalars and, through
-  ``np.frompyfunc``, on object arrays of mpf.
+  ``np.frompyfunc``, on object arrays of mpf.  It also holds mpmath's
+  ``isint`` and ``prec()``, the working precision in bits.
+
+This is the only module that imports mpmath, and it does so on first
+50-digit use: ``MP`` builds its functions at its first attribute read, and
+``mp_workdps`` imports mpmath when it is entered.  A run that only computes in
+doubles never loads it.
 
 ``SHARPLP_PRECISION`` (``double`` by default, or ``high``) picks the backend.
 Each public call reads it once, in ``with backend() as xp:``, which also sets
@@ -25,7 +31,6 @@ import os
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
-import mpmath as mp
 import numpy as np
 
 from .errors import NumericRange, UnknownPrecisionMode
@@ -94,22 +99,40 @@ def _mp_elementwise(fn, nin=1):
     return lambda *args: ufunc(*args) if isinstance(args[0], np.ndarray) else fn(*args)
 
 
-MP = SimpleNamespace(
-    **{
-        name: _mp_elementwise(getattr(mp, name))
-        for name in ("exp", "log", "sqrt", "tanh")
-    },
-    # log of the exact sum: as accurate as mp.log1p, in half its time
-    log1p=_mp_elementwise(lambda x: mp.log(mp.fadd(1, x, exact=True))),
-    logaddexp=_mp_elementwise(lambda a, b: mp.log(mp.exp(a) + mp.exp(b)), 2),
-    logcosh=_mp_elementwise(lambda x: mp.log(mp.cosh(x))),
-    asarray=_mp_elementwise(mp.mpf),
-)
+class _Mp:
+    """The ``MP`` namespace.  Its first attribute read imports mpmath and
+    stores every function as a plain instance attribute, so later reads are
+    ordinary lookups and never reach ``__getattr__`` again."""
+
+    def __getattr__(self, name):
+        if name.startswith("_"):  # copy, pickle and the like probe for these
+            raise AttributeError(name)
+        import mpmath as mp
+
+        vars(self).update(
+            {
+                fn: _mp_elementwise(getattr(mp, fn))
+                for fn in ("exp", "log", "sqrt", "tanh")
+            },
+            # log of the exact sum: as accurate as mp.log1p, in half its time
+            log1p=_mp_elementwise(lambda x: mp.log(mp.fadd(1, x, exact=True))),
+            logaddexp=_mp_elementwise(lambda a, b: mp.log(mp.exp(a) + mp.exp(b)), 2),
+            logcosh=_mp_elementwise(lambda x: mp.log(mp.cosh(x))),
+            asarray=_mp_elementwise(mp.mpf),
+            isint=mp.isint,
+            prec=lambda: mp.mp.prec,
+        )
+        return object.__getattribute__(self, name)
+
+
+MP = _Mp()
 
 
 @contextmanager
 def mp_workdps():
     """The 50-digit backend, with mpmath at the toolkit's digit count."""
+    import mpmath as mp
+
     with mp.workdps(HIGH_DPS):
         yield MP
 

@@ -538,9 +538,14 @@ def test_sign_changes_matches_reference_scan(c, monkeypatch):
     assert got == [sign_changes(name, c, 1000) for name in names]
 
 
-@pytest.mark.parametrize("c", [1e300, -1e300, 1e200, 1e100, 1e9, -1e9])
+@pytest.mark.parametrize(
+    "c",
+    [1e300, -1e300, 1e200, 1e100, 1e9, -1e9]
+    + [1e-7, -1e-7, 1e-8, 1e-10, -1e-10, 1e-300, 9.99e-6, -9.99e-6],
+)
 def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
-    # |c| >= 1e9 (p = 1/c within 1e-9 of 0): no grid is evaluated, let alone
+    # |c| >= 1e9 (p = 1/c within 1e-9 of 0), and |c| < 1e-5, where f', g and
+    # h cancel to roundoff near t = 1: no grid is evaluated, let alone
     # escalated to 50 digits
     def no_escalation(*args):
         raise AssertionError("a sample was sent to 50 digits")

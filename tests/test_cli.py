@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import warnings
 import pytest
 
 import sharplp
-from sharplp import cli
+from sharplp import audit, cli
 from sharplp.cli import CommandConfig, main, parse_config, run
 
 
@@ -305,6 +306,13 @@ def test_bad_input_is_a_usage_error(argv, capsys):
         ["audit", "--c", "0.5000000001"],
         ["audit", "--c", "1e-320"],
         ["audit", "--c-grid=0.3,1e300"],
+        # below |c| = 1e-5 the double scan's signs are roundoff near t = 1
+        ["audit", "--c-grid=1e-7"],
+        ["audit", "--c-grid=-1e-7"],
+        ["audit", "--c-grid=1e-8"],
+        ["audit", "--c-grid=1e-10"],
+        ["audit", "--c-grid=-1e-10"],
+        ["audit", "--c-grid=1e-300"],
         ["means", "--p-list=1e20", "--trials", "2"],
         ["means", "--p-list=-1e20", "--trials", "2"],
     ],
@@ -320,6 +328,14 @@ def test_exponent_out_of_range_exits_2(argv, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("c", [2 * audit._C_MIN, -2 * audit._C_MIN])
+def test_audit_at_twice_the_smallest_c_exits_0(c, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", f"--c-grid={c!r}"])
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)[0]["c"] == c
 
 
 def _p_argv(command, p):
@@ -356,22 +372,94 @@ def test_exact_identity_exponents_keep_their_exit_codes(command, code, p, capsys
     assert run(parse_config(_p_argv(command, p))) == code
 
 
-def test_cli_imports_without_scipy():
-    # the package depends on numpy and mpmath only: with every scipy import
-    # made to fail, the CLI still imports and loads no scipy module
-    code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "import sharplp.cli\n"
-        "print([m for m, mod in sys.modules.items() if m.startswith('scipy') and mod])\n"
-    )
+# Run in a fresh interpreter: prints a JSON list, first which scipy and mpmath
+# modules are loaded after each step, then the stdout of each 50-digit
+# command.  With FIRST set, mpmath is imported before sharplp and only the
+# 50-digit commands run.
+_IMPORT_PROBE = """
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None
+if os.environ.get("FIRST"):
+    import mpmath
+import sharplp
+import sharplp.cli as cli
+
+def loaded():
+    return sorted(m for m, mod in sys.modules.items() if m.startswith(("scipy", "mpmath")) and mod)
+
+def out_of(args, mode="double"):
+    os.environ["SHARPLP_PRECISION"] = mode
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(cli.parse_config(args))
+    return [code, out.getvalue()]
+
+steps = [["import", loaded()]]
+if not os.environ.get("FIRST"):
+    for args in (["verify", "--trials", "3"], ["contour", "--na", "4", "--np", "4"],
+                 ["schatten", "--trials", "2"], ["means", "--trials", "3"], ["sharpness"]):
+        assert out_of(args)[0] == 0
+        steps.append([args[0], loaded()])
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.parse_config(["verify", "--no-such-option"])
+    steps.append(["rejection", loaded()])
+audit = out_of(["audit", "--c-grid=0.35", "--points", "1000"])
+steps.append(["audit", "mpmath" in sys.modules])
+verify = out_of(["verify", "--trials", "1"], "high")
+print(json.dumps([steps, audit, verify]))
+"""
+
+
+def _import_probe(first):
     src = os.path.dirname(os.path.dirname(sharplp.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "FIRST": "1" if first else ""}
+    env.pop("SHARPLP_PRECISION", None)
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return json.loads(proc.stdout)
+
+
+def test_cli_imports_without_scipy():
+    # the package depends on numpy and mpmath only: with every scipy import
+    # made to fail, the CLI still imports and loads no scipy module.  mpmath
+    # is loaded at the first 50-digit value, never by a double command or an
+    # argparse rejection, and what it computes then equals the output of a
+    # process that imported mpmath before sharplp
+    steps, audit_out, verify_out = _import_probe(first=False)
+    assert steps[:-1] == [
+        [step, []]
+        for step in ("import", "verify", "contour", "schatten", "means", "sharpness", "rejection")
+    ]
+    assert steps[-1] == ["audit", True]
+    _, first_audit, first_verify = _import_probe(first=True)
+    assert audit_out == first_audit and audit_out[0] == 0
+    assert verify_out == first_verify and verify_out[0] == 0
+
+
+def test_only_precision_imports_mpmath():
+    package = os.path.dirname(sharplp.__file__)
+    paths = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(package)
+        for name in names
+        if name.endswith(".py")
+    ]
+    importers = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "mpmath" or m.startswith("mpmath.") for m in modules):
+                importers.add(os.path.relpath(path, package))
+    assert importers == {"precision.py"}
 
 
 @pytest.mark.parametrize(
