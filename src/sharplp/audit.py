@@ -17,10 +17,11 @@ against the claimed ones.  Both take c itself and hold it to one c rule
 rule of ``measure`` on p = 1/c, and c not in {1/2, 1}.
 
 Each formula is written once against a backend ``xp`` of ``precision``.
-``_CHAIN_FLOAT[name](xp, c, t)`` is a chain function in doubles on a grid and
-at 50 digits on an object array of mpf (``_mp_chain``), which is how
-``sign_changes`` escalates its samples; at 50 digits c is one mpf.  f', g
-and h share one formula for their second factor F (``_fraction``).  Every
+``_CHAIN_FLOAT[name](samples)`` is a chain function on a ``_Samples``, which
+holds c and t in the backend: doubles on a grid, or at 50 digits an object
+array of mpf (``_mp_chain``), which is how ``sign_changes`` escalates its
+samples; at 50 digits c is one mpf.  f', g and h share one formula for their
+second factor F (``_Samples.fraction``).  Every
 other chain function is a power sum, held as the table of its rows: a row
 (a, i, j) is the term a t^(i + j c), its exponent kept exact as the small
 integers i and j and its coefficient a formed from c in ``xp``.  The
@@ -30,13 +31,13 @@ come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
 v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's t -> 0+
 sign is read from its table.
 
-A 50-digit power is an exp and a log, so each is taken once: a power sum
-takes t^c once per sample and builds every t^i (t^c)^j from it by
-multiplication (an integer exponent stays one t ** b), and f', g and h take
-t^c once too.  The functions of one c mostly escalate the same samples, the
-edge guard bands', so ``_mp_chain`` keeps one c's samples with what the
-formulas share on them (``_shared``: t^c, each monomial, X, X^c and F) until
-the next c or sample set; each is the same mpf a lone function would take.
+A 50-digit power is an exp and a log, so each is taken once: a samples
+object takes t^c, X, X^c, F and each monomial t^i (t^c)^j once, on first use,
+building the monomials from t^c by multiplication (an integer exponent stays
+one t ** b).  The functions of one c mostly escalate the same samples, the
+edge guard bands', so within one ``audit_chain`` call they share one samples
+object until a function escalates another set; each value is the same mpf a
+lone function would take, and nothing is kept once the call returns.
 Doubles keep one numpy power t ** b per term and share nothing.
 """
 from __future__ import annotations
@@ -175,7 +176,6 @@ def invert_b(b_target: float, p: float) -> float:
                     break
             increasing = True
 
-        a = 0.5 * (lo + hi)
         for _ in range(200):
             a = 0.5 * (lo + hi)
             val = _b(xp, a, p)
@@ -313,78 +313,54 @@ def _check_c(c: float) -> float:
     return c
 
 
-@dataclass(frozen=True)
-class _Escalation:
-    """One c's escalated samples at 50 digits: c and t as mpf, and the
-    quantities the chain functions share on them, by (function, arguments)."""
+class _Samples:
+    """c and the samples t in the backend ``xp``, with what the chain formulas
+    share on them, each taken once, on first use: t^c, X = (1+t)^2/(4t), X^c,
+    F and each monomial t^(i + j c)."""
 
-    key: tuple
-    c: object
-    t: np.ndarray
-    shared: dict
+    def __init__(self, xp, c, t):
+        self.xp, self.c, self.t = xp, xp.asarray(c), xp.asarray(t)
+        self._monomials: dict = {}
 
+    @functools.cached_property
+    def tc(self):
+        return self.t ** self.c
 
-# the samples ``_mp_chain`` evaluated last; the next c or sample set replaces it
-_escalation: _Escalation | None = None
+    @functools.cached_property
+    def x_big(self):
+        return (1.0 + self.t) ** 2 / (4.0 * self.t)
 
+    @functools.cached_property
+    def x_big_c(self):
+        return self.x_big ** self.c
 
-def _shared(fn):
-    """``fn(xp, c, t, *args)``, taken once per ``args`` on the samples of
-    ``_escalation`` and called plainly on any other t."""
+    @functools.cached_property
+    def fraction(self):
+        """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
+        return (self.tc + 1.0) * (1.0 - self.c) * (1.0 - self.t) / (self.tc - self.t)
 
-    def once(xp, c, t, *args):
-        entry = _escalation
-        if entry is None or t is not entry.t:
-            return fn(xp, c, t, *args)
-        key = (fn, args)
-        if key not in entry.shared:
-            entry.shared[key] = fn(xp, c, t, *args)
-        return entry.shared[key]
-
-    return once
-
-
-@_shared
-def _t_to_c(xp, c, t):
-    return t ** c
-
-
-@_shared
-def _x_big(xp, c, t):
-    """X = (1+t)^2/(4t)."""
-    return (1.0 + t) ** 2 / (4.0 * t)
-
-
-@_shared
-def _x_big_to_c(xp, c, t):
-    return _x_big(xp, c, t) ** c
-
-
-@_shared
-def _fraction(xp, c, t):
-    """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
-    tc = _t_to_c(xp, c, t)
-    return (tc + 1.0) * (1.0 - c) * (1.0 - t) / (tc - t)
-
-
-@_shared
-def _monomial(xp, c, t, b, i, j):
-    """t^b for b = i + j c.  Doubles take one numpy power.  At 50 digits a
-    power is an exp and a log, so t^b is t^i (t^c)^j, built by multiplication
-    from the one t^c.  An integer-valued b stays one t ** b, which rounds once
-    where the product rounds twice; when c is an integer, so is every b, and
-    t^c is not taken at all."""
-    if xp is FLOAT or xp.isint(c) or xp.isint(b):
-        return t ** b
-    tc = _t_to_c(xp, c, t)
-    tcj = tc if j == 1 else tc ** j  # (t^c)^1 and a factor t^0 are exact
-    return tcj if i == 0 else t ** i * tcj
+    def monomial(self, b, i, j):
+        """t^b for b = i + j c.  Doubles take one numpy power.  At 50 digits a
+        power is an exp and a log, so t^b is t^i (t^c)^j, built by
+        multiplication from the one t^c and kept by (i, j).  An integer-valued
+        b stays one t ** b, which rounds once where the product rounds twice;
+        when c is an integer, so is every b, and t^c is not taken at all."""
+        xp, t = self.xp, self.t
+        if xp is FLOAT:
+            return t ** b
+        if (i, j) not in self._monomials:
+            if xp.isint(self.c) or xp.isint(b):
+                self._monomials[i, j] = t ** b
+            else:
+                tcj = self.tc if j == 1 else self.tc ** j  # (t^c)^1 and t^0 are exact
+                self._monomials[i, j] = tcj if i == 0 else t ** i * tcj
+        return self._monomials[i, j]
 
 
 def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
-    """``_fraction`` on doubles, divided through by t^c where t^c overflows."""
+    """F on doubles, divided through by t^c where t^c overflows."""
     with np.errstate(all="ignore"):
-        fraction = _fraction(FLOAT, c, t)
+        fraction = _Samples(FLOAT, c, t).fraction
         lost = ~np.isfinite(fraction)
         tl = t[lost]
         fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
@@ -392,25 +368,27 @@ def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
 
 
 # f, f', g and h keep the array left of c (see ``_mp_chain``)
-def _chain_f(xp, c, t):
+def _chain_f(s):
+    c = s.c
     return (
-        -xp.log1p(_t_to_c(xp, c, t)) / c
-        + xp.log1p(t)
-        + xp.log1p((1.0 / _x_big(xp, c, t)) ** c) * ((1.0 - c) / c)
+        -s.xp.log1p(s.tc) / c
+        + s.xp.log1p(s.t)
+        + s.xp.log1p((1.0 / s.x_big) ** c) * ((1.0 - c) / c)
     )
 
 
-def _chain_f_prime(xp, c, t):
-    bracket = 1.0 / (_x_big_to_c(xp, c, t) + 1.0) - 1.0 / _fraction(xp, c, t)
+def _chain_f_prime(s):
+    t, c = s.t, s.c
+    bracket = 1.0 / (s.x_big_c + 1.0) - 1.0 / s.fraction
     return (1.0 - t) * (1.0 - c) / (t * (1.0 + t)) * bracket
 
 
-def _chain_g(xp, c, t):
-    return _x_big_to_c(xp, c, t) - (_fraction(xp, c, t) - 1.0)
+def _chain_g(s):
+    return s.x_big_c - (s.fraction - 1.0)
 
 
-def _chain_h(xp, c, t):
-    return xp.log(_x_big(xp, c, t)) * c - xp.log(_fraction(xp, c, t) - 1.0)
+def _chain_h(s):
+    return s.xp.log(s.x_big) * s.c - s.xp.log(s.fraction - 1.0)
 
 
 def _d(rows, c):
@@ -482,16 +460,14 @@ def _cached_table(name: str, c, prec: int | None) -> tuple:
     return tuple((xp.asarray(a), xp.asarray(i + j * c), i, j) for a, i, j in _TABLES[name](c))
 
 
-def _power_sum(name: str, xp, c, t):
-    """The sum of the table's terms a t^b at t, each power a ``_monomial``;
-    t stays left of each product (see ``_mp_chain``)."""
-    terms = _table(name, xp, c)
-    return functools.reduce(
-        operator.add, (_monomial(xp, c, t, b, i, j) * a for a, b, i, j in terms)
-    )
+def _power_sum(name: str, s: _Samples):
+    """The sum of the table's terms a t^b on the samples, each power a
+    monomial of ``s``; t stays left of each product (see ``_mp_chain``)."""
+    terms = _table(name, s.xp, s.c)
+    return functools.reduce(operator.add, (s.monomial(b, i, j) * a for a, b, i, j in terms))
 
 
-# name -> formula(xp, c, t), one per chain function of t
+# name -> formula(samples), one per chain function of t
 _CHAIN_FLOAT: Mapping[str, Callable] = {
     name: functools.partial(_power_sum, name)
     if name in _TABLES
@@ -507,7 +483,7 @@ _AT_ONE = {"f": 0.0, "f_prime": 0.0, "g": 0.0, "h": 0.0}
 def _h0_value(c: float) -> float:
     if c < 0.0:
         return -math.inf
-    if c == 0.0 or c == 1.0:
+    if c == 1.0:
         raise NameRequiresC("h0 is not defined at c in {0, 1}")
     if c < 1.0:
         return -2.0 * c * math.log(2.0) - math.log1p(-c)
@@ -532,7 +508,7 @@ def chain_eval(name: str, c: float, t: float) -> float:
         if xp is MP:
             return _mp_chain(name, c, np.array([t]))[0]
         with np.errstate(all="ignore"):
-            return _CHAIN_FLOAT[name](xp, xp.asarray(c), xp.asarray(t))
+            return _CHAIN_FLOAT[name](_Samples(xp, c, t))
 
 
 # ---------------------------------------------------------------------------
@@ -599,34 +575,28 @@ def _sign_of(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _mp_chain(name: str, c: float, t: np.ndarray) -> np.ndarray:
+def _mp_chain(name: str, c: float, t: np.ndarray, kept: dict | None = None) -> np.ndarray:
     """The chain function at 50 digits on the samples ``t``, as one object
     array of mpf, with c one mpf.
 
-    The functions of one c mostly escalate the same samples, those of the
-    edge guard bands, so c, t and what the formulas share on them (t^c, each
-    monomial t^b, X and X^c, F; see ``_shared``) are kept in ``_escalation``
-    until the next c or sample set.  Each is the same mpf as when taken anew.
-    A single sample, a bisection probe or ``chain_eval``, is one no other
-    function asks for: it shares on itself for this call only and leaves the
-    kept samples in place.  (A scanned grid escalates at least its two end
-    samples.)
+    ``kept`` holds one ``_Samples`` by (c, the samples' bytes): a function
+    called on the same c and samples reuses its t^c, monomials, X, X^c and F,
+    and other samples replace it.  ``audit_chain`` passes one such dict to
+    the scans of its c, whose functions mostly escalate the same samples,
+    those of the edge guard bands; any other call shares nothing.  Each
+    value is the same mpf as when taken anew.
 
     An mpf left of an object array first fails to convert it, and the failure
     formats the whole array at 50 digits, so every formula keeps the array
     left of c.
     """
-    global _escalation
-    kept, key = _escalation, (c, t.tobytes())
+    kept = {} if kept is None else kept
+    key = (c, t.tobytes())
     with mp_workdps() as xp:
-        if kept is None or kept.key != key:
-            _escalation = _Escalation(key, xp.asarray(c), xp.asarray(t), {})
-        entry = _escalation
-        try:
-            return _CHAIN_FLOAT[name](xp, entry.c, entry.t)
-        finally:
-            if t.size == 1:
-                _escalation = kept
+        if key not in kept:
+            kept.clear()
+            kept[key] = _Samples(xp, c, t)
+        return _CHAIN_FLOAT[name](kept[key])
 
 
 def _classify(
@@ -700,16 +670,21 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     nonzero samples of opposite sign (zero samples are skipped), and only
     those pairs reach Python, where each is bisected to a bracket of width
     1e-10.  The escalated samples are evaluated together, as one 50-digit
-    object array, which shares t^c, the monomials and F with the other
-    functions of this c on the same samples (``_mp_chain``); only the
-    bisection probes go to 50 digits one at a time, each as an array of one
-    sample.
+    object array; only the bisection probes go to 50 digits one at a time,
+    each as an array of one sample.  A call shares nothing with other calls;
+    within one ``audit_chain`` the functions of its c share t^c, the
+    monomials and F on the samples they escalate alike (``_mp_chain``).
     No Python loop runs over the grid's samples.  c must pass the audit's
     c rule (``_check_c``): it raises ExponentOutOfRange at c in {1/2, 1},
     where the chain degenerates, and NumericRange for |c| >= 1e9 (p = 1/c
     within 1e-9 of 0), where t^c is not a usable double anywhere on the grid,
     and for |c| < 1e-5, where f', g and h cancel to roundoff near t = 1.
     """
+    return _scan(name, c, grid_size, {})
+
+
+def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
+    """``sign_changes``, escalating through ``kept`` (see ``_mp_chain``)."""
     if grid_size < 1000:
         raise TooCoarse("grid_size must be at least 1000")
     if name not in CHAIN_NAMES:
@@ -720,7 +695,7 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
 
     t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
     with np.errstate(all="ignore"):
-        vals = np.asarray(_CHAIN_FLOAT[name](FLOAT, c, t), dtype=float)
+        vals = np.asarray(_CHAIN_FLOAT[name](_Samples(FLOAT, c, t)), dtype=float)
 
     absvals = np.abs(vals)
     finite = np.isfinite(vals)
@@ -731,7 +706,7 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    mp_vals = _mp_chain(name, c, t[needs_mp])
+    mp_vals = _mp_chain(name, c, t[needs_mp], kept)
     signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
     # adjacent unresolved samples defeat classification
@@ -747,7 +722,7 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
 
     def _sign_at(x: float) -> int:
         with np.errstate(all="ignore"):
-            v = float(_CHAIN_FLOAT[name](FLOAT, c, FLOAT.asarray(x)))
+            v = float(_CHAIN_FLOAT[name](_Samples(FLOAT, c, x)))
         if (
             not math.isfinite(v)
             or x >= 1.0 - _EDGE_GUARD
@@ -828,12 +803,15 @@ def audit_chain(c: float, grid_size: int = 10_000) -> ChainReport:
     The five pattern-bearing functions gate the audit; the intermediate
     helpers are reported informationally only on the parameter ranges where
     the argument uses them.  The always-positive second factor is checked on
-    the same grid.  c must pass the audit's c rule (``_check_c``).
+    the same grid.  c must pass the audit's c rule (``_check_c``).  The
+    scans share the 50-digit samples they escalate alike, and drop them when
+    the call returns.
     """
     c = _check_c(c)
+    kept: dict = {}
 
     def entry(name: str, expected: PatternKind) -> PatternEntry:
-        observed = sign_changes(name, c, grid_size)
+        observed = _scan(name, c, grid_size, kept)
         return PatternEntry(observed, expected, match=observed.overall is expected)
 
     patterns = {name: entry(name, expected_pattern(name, c)) for name in CORE_AUDIT_NAMES}

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import oracle
@@ -387,7 +389,7 @@ def test_third_derivative_of_v_is_the_w_factorization(c):
         for t in (0.05, 0.3, 0.8):
             t = xp.asarray(t)
             got = sum(t ** (i + j * cv) * a for a, i, j in d3)
-            want = audit._CHAIN_FLOAT["v_tprime"](xp, xp.asarray(c), t)
+            want = audit._CHAIN_FLOAT["v_tprime"](audit._Samples(xp, c, t))
             assert abs(got / want - 1) <= 1e-40, (c, t)
 
 
@@ -558,17 +560,17 @@ def test_audit_rejects_c_beyond_double_coefficients(c, monkeypatch):
 # the audit's default c grid (2.0: every exponent an integer), and large |c|
 # where the double grid is NaN-heavy
 @pytest.mark.parametrize("c", list(DEFAULT_C_GRID) + [1e3, 1e6, -1e6])
-def test_batched_escalation_equals_scalar_path(c, monkeypatch):
+def test_batched_escalation_equals_scalar_path(c):
     t = np.linspace(audit.DEFAULT_DELTA, 1.0 - audit.DEFAULT_DELTA, 10_000)
     t = t[(t <= audit._EDGE_GUARD) | (t >= 1.0 - audit._EDGE_GUARD)]
     assert t.size == 20
-    monkeypatch.setattr(audit, "_escalation", None)
-    first = {name: audit._mp_chain(name, c, t) for name in audit._CHAIN_FLOAT}
+    kept = {}
+    first = {name: audit._mp_chain(name, c, t, kept) for name in audit._CHAIN_FLOAT}
     for name, formula in audit._CHAIN_FLOAT.items():
         # evaluated again once every other name has shared its quantities
-        batched = audit._mp_chain(name, c, t)
+        batched = audit._mp_chain(name, c, t, kept)
         with mp_workdps() as xp:
-            scalar = [formula(xp, xp.asarray(c), xp.asarray(x)) for x in t.tolist()]
+            scalar = [formula(audit._Samples(xp, c, x)) for x in t.tolist()]
         # _mpf_ is the exact binary value, NaN included
         want = [v._mpf_ for v in scalar]
         assert [v._mpf_ for v in first[name]] == want, (name, c)
@@ -577,9 +579,42 @@ def test_batched_escalation_equals_scalar_path(c, monkeypatch):
 
 # at 1e4 each function escalates a different sample set
 @pytest.mark.parametrize("c", [0.35, 3.5, -1000.0, 1e4])
-def test_audit_chain_equals_standalone_scans(c, monkeypatch):
+def test_audit_chain_equals_standalone_scans(c):
     report = audit_chain(c)
     entries = {**report.patterns, **report.extras}
-    monkeypatch.setattr(audit, "_escalation", None)
+    kept = {}
     for name in reversed(list(entries)):
+        # standalone, sharing nothing, and in reverse order through one dict
         assert sign_changes(name, c, 10_000) == entries[name].observed, (name, c)
+        assert audit._scan(name, c, 10_000, kept) == entries[name].observed, (name, c)
+
+
+# at 0.35 the functions share the edge bands' samples; at 1e4 g, u and
+# b_factor each escalate a different set
+@pytest.mark.parametrize("c", [0.35, 1e4])
+def test_audit_chain_keeps_no_samples_after_it_returns(c, monkeypatch):
+    escalated = []
+
+    class Recorded(audit._Samples):
+        def __init__(self, xp, c, t):
+            super().__init__(xp, c, t)
+            if xp is not FLOAT:
+                escalated.append(weakref.ref(self))
+
+    monkeypatch.setattr(audit, "_Samples", Recorded)
+    audit_chain(c)
+    gc.collect()
+    assert escalated
+    assert [ref for ref in escalated if ref() is not None] == []
+
+
+# the escalated samples are shared in one dict across names, so each later
+# name reuses t^c, X, X^c, F and the monomials of the earlier ones
+@pytest.mark.parametrize("c", [-3.0, 0.35, 2.0, 3.5])
+@pytest.mark.parametrize("t", [1e-4, 0.3, 1.0 - 1e-9])
+def test_high_precision_chain_eval_is_the_escalation(c, t, monkeypatch):
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    kept = {}
+    for name in audit._CHAIN_FLOAT:
+        want = audit._mp_chain(name, c, np.array([t]), kept)[0]
+        assert chain_eval(name, c, t)._mpf_ == want._mpf_, (name, c, t)
