@@ -28,8 +28,17 @@ integers i and j and its coefficient a formed from c in ``xp``.  The
 exponent's value b = i + j c is formed once per (name, c), where the table
 is cached.  Only v, w, p_quad and b_factor are written out.  From v's table
 come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
-v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  A power sum's t -> 0+
-sign is read from its table.
+v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  The same rows also
+evaluate over c as a ``fractions.Fraction``, which is the double c exactly
+(``_exact_table``; fractions is imported there, on the audit's first exact
+table).  A power sum's t -> 0+ sign is read from its exact table.
+
+A power sum's double value S comes with a forward error bound B
+(``_enclosure``): exact coefficient and exponent errors, an assumed 4-ulp
+bound on numpy's float64 power (``_POW_ERR``) and the running error of the
+summation.  In the edge guard bands the scan keeps the double sign of a power
+sum wherever |S| > B; f', g and h, which are no tables, escalate their whole
+edge bands.
 
 A 50-digit power is an exp and a log, so each is taken once: a samples
 object takes t^c, X, X^c, F and each monomial t^i (t^c)^j once, on first use,
@@ -46,7 +55,7 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -86,6 +95,13 @@ _C_MAX = 1e9
 # up to |c| = 2.24e-6 and none from 2.51e-6 on; at 50 digits f', g, h and v
 # keep one sign on [0.99, 1) at c = +-1e-8, 1e-7 and -2.24e-6.
 _C_MIN = 1e-5
+# The assumed bound on the relative error of numpy's float64 power, 4 ulp:
+# the documented bound of the AVX-512 SVML pow numpy runs on arrays where the
+# CPU has it (glibc's pow is within 1 ulp).  Measured at most 0.56 * 2^-52
+# on 40,000 (t, b) pairs against mpmath, on an AVX-512 Xeon.  The double
+# edge-band signs of the power sums rest on it (``_enclosure``).
+_POW_ERR = 2.0 ** -50
+_U = 2.0 ** -53  # the unit roundoff of doubles
 
 
 # ---------------------------------------------------------------------------
@@ -411,37 +427,37 @@ def _times(rows, k, i, j):
 # q = v''/(2c) factors as (t-1)(5t^2-16t+8).
 _TABLES: Mapping[str, Callable] = {
     "v": lambda c: (
-        (2.0 * c * c - 1.0, 1, 0),
+        (2 * c * c - 1, 1, 0),
         (-c * c, 2, 0),
-        (2.0 * c * (1.0 - 2.0 * c), 0, 1),
-        (-2.0 * c * (1.0 - 2.0 * c), 1, 1),
-        (1.0 - 2.0 * c * c, 0, 2),
-        ((1.0 - c) ** 2, 1, 2),
-        (-((1.0 - c) ** 2), 0, 0),
+        (2 * c * (1 - 2 * c), 0, 1),
+        (-2 * c * (1 - 2 * c), 1, 1),
+        (1 - 2 * c * c, 0, 2),
+        ((1 - c) ** 2, 1, 2),
+        (-((1 - c) ** 2), 0, 0),
         (c * c, -1, 2),
     ),
     "v_prime": lambda c: _d(_TABLES["v"](c), c),
     "v_dprime": lambda c: _d(_TABLES["v_prime"](c), c),
-    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1.0 / (2.0 * c), 0, 0),
-    "u": lambda c: _times(_TABLES["q_factor"](c), 1.0, 3, -2),
+    "q_factor": lambda c: _times(_TABLES["v_dprime"](c), 1 / (2 * c), 0, 0),
+    "u": lambda c: _times(_TABLES["q_factor"](c), 1, 3, -2),
     "w": lambda c: (
-        (c * (c - 2.0), 0, 0),
-        (-(c + 1.0) * c, 1, 0),
-        (-2.0 * (1.0 - 2.0 * c * c), 0, 1),
-        ((1.0 - c) * (1.0 + 2.0 * c), 1, 1),
-        (-c * (2.0 * c - 3.0), -1, 1),
+        (c * (c - 2), 0, 0),
+        (-(c + 1) * c, 1, 0),
+        (-2 * (1 - 2 * c * c), 0, 1),
+        ((1 - c) * (1 + 2 * c), 1, 1),
+        (-c * (2 * c - 3), -1, 1),
     ),
-    "v_tprime": lambda c: _times(_TABLES["w"](c), 2.0 * c * (1.0 - 2.0 * c) * (c - 1.0), -3, 1),
-    "m": lambda c: _times(_TABLES["w"](c), -1.0, 1, -1),
+    "v_tprime": lambda c: _times(_TABLES["w"](c), 2 * c * (1 - 2 * c) * (c - 1), -3, 1),
+    "m": lambda c: _times(_TABLES["w"](c), -1, 1, -1),
     "p_quad": lambda c: (
-        ((c + 1.0) * (1.0 + 2.0 * c), 2, 0),
-        (2.0 * (1.0 - 2.0 * c * c), 1, 0),
-        (2.0 * c * c - 7.0 * c + 6.0, 0, 0),
+        ((c + 1) * (1 + 2 * c), 2, 0),
+        (2 * (1 - 2 * c * c), 1, 0),
+        (2 * c * c - 7 * c + 6, 0, 0),
     ),
     "b_factor": lambda c: (
         (c ** 3 - c, 0, 0),
-        (-c * (c + 1.0) * (c - 2.0), 1, 0),
-        (2.0 * (2.0 * c - 3.0), 2, -1),
+        (-c * (c + 1) * (c - 2), 1, 0),
+        (2 * (2 * c - 3), 2, -1),
     ),
 }
 
@@ -458,6 +474,72 @@ def _cached_table(name: str, c, prec: int | None) -> tuple:
     xp = FLOAT if prec is None else MP  # an MP caller works at precision prec
     c = xp.asarray(c)
     return tuple((xp.asarray(a), xp.asarray(i + j * c), i, j) for a, i, j in _TABLES[name](c))
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_table(name: str, c: float) -> tuple:
+    """The rows of ``name`` at the double c taken exactly, as
+    ``fractions.Fraction``: (a, b, i, j) with b = i + j c."""
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return tuple((a, i + j * c, i, j) for a, i, j in _TABLES[name](c))
+
+
+@functools.lru_cache(maxsize=256)
+def _term_errors(name: str, c: float) -> tuple:
+    """What the double terms of ``name`` at c carry into ``_enclosure``:
+    per term |fl(a) - a|, |fl(a)| + |fl(a) - a| and |fl(b) - b|, from the
+    exact rows; then the largest |fl(b) - b| and the underflow allowance.
+    The two tables list the same rows: ``_d`` drops a row where b = 0, and
+    for the j in {0, 1, 2} of the rows it differentiates j c is exact, so
+    fl(i + j c) is 0 exactly where i + j c is."""
+    from fractions import Fraction
+
+    per_term = []
+    for (a, b, _, _), (a_x, b_x, _, _) in zip(_table(name, FLOAT, c), _exact_table(name, c)):
+        da = float(abs(Fraction(float(a)) - a_x))
+        per_term.append((da, abs(float(a)) + da, float(abs(Fraction(float(b)) - b_x))))
+    # a pow or product that falls below the normal range errs by up to 4 of
+    # its ulps 2^-1074 absolutely, not relatively; 2^-1068 per term covers it
+    tiny = 2.0 ** -1068 * (len(per_term) + sum(a_hi for _, a_hi, _ in per_term))
+    return tuple(per_term), max(db for _, _, db in per_term), tiny
+
+
+def _enclosure(name: str, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The double power sum S of ``name`` on the samples t, term by term as
+    ``_power_sum`` forms it, and a bound B on |S - the exact sum| (inf where
+    none is given).
+
+    Row k is fl(fl(t^fl(b)) fl(a)), summed left to right; its error is
+    |fl(a) - a| t^b, plus |a t^b| (eps_pow + |fl(b) - b| |log t| + u) from
+    the power (eps_pow = ``_POW_ERR``), the shifted exponent and the product;
+    the sum adds gamma_(n-1) times the sum of |terms| (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3-4).  The factor 2 covers the
+    second-order terms and the rounding of B itself while the first-order
+    relative part stays below 2^-20; beyond that B is inf.
+    """
+    terms = _table(name, FLOAT, c)
+    per_term, db_max, tiny = _term_errors(name, c)
+    with np.errstate(all="ignore"):
+        log_t = np.abs(np.log(t))
+        total = mags = bound = np.zeros_like(t)
+        for (a, b, _, _), (da, a_hi, db) in zip(terms, per_term):
+            monomial = t ** b
+            term = monomial * a
+            total = total + term
+            mags = mags + np.abs(term)
+            bound = bound + monomial * (da + a_hi * (_POW_ERR + _U + db * log_t))
+        n = len(terms) - 1
+        bound = 2.0 * (bound + n * _U / (1.0 - n * _U) * mags + tiny)
+        bound[_POW_ERR + _U + db_max * log_t > 2.0 ** -20] = np.inf
+    return total, bound
+
+
+def _certified_signs(name: str, c: float, t: np.ndarray) -> np.ndarray:
+    """The sign of the double sum where |S| > B (``_enclosure``), else 0."""
+    total, bound = _enclosure(name, c, t)
+    return np.where(np.abs(total) > bound, np.sign(total), 0.0).astype(int)
 
 
 def _power_sum(name: str, s: _Samples):
@@ -536,14 +618,17 @@ class Crossing:
 class SignChangePattern:
     crossings: tuple[Crossing, ...]
     overall: PatternKind
+    # samples and bisection probes evaluated at 50 digits
+    escalated: int = field(default=0, compare=False)
 
 
+@functools.lru_cache(maxsize=256)
 def _left_limit_sign(name: str, c: float) -> int:
     """Sign of the t -> 0+ limit; 0 if none is known.
 
-    A power sum's sign is read from its 50-digit table: the sign of the
+    A power sum's sign is read from its exact table: the sign of the
     coefficient sum at the lowest exponent, moving up while that sum is
-    exactly zero.  f_prime, g and h keep the chain's stated asymptotics.
+    zero.  f_prime, g and h keep the chain's stated asymptotics.
     Needed because a crossing can fall below the truncated scan interval (for
     small c the g/h crossing sits at astronomically small t).
     """
@@ -555,10 +640,9 @@ def _left_limit_sign(name: str, c: float) -> int:
         return -sgn_1c * hs
     if name not in _TABLES:
         return 0
-    with mp_workdps() as xp:
-        sums: dict = {}
-        for a, b, _, _ in _table(name, xp, c):
-            sums[b] = sums.get(b, 0) + a
+    sums: dict = {}
+    for a, b, _, _ in _exact_table(name, c):
+        sums[b] = sums.get(b, 0) + a
     return next((_sign_of(s) for _, s in sorted(sums.items()) if s != 0), 0)
 
 
@@ -655,14 +739,28 @@ def _local_scale(mags: np.ndarray) -> np.ndarray:
     return scale
 
 
+def _ambiguous(vals: np.ndarray) -> np.ndarray:
+    """The grid samples whose double sign the scan does not trust: the ones
+    that are not finite, or whose magnitude is at most 1e-13 of the local
+    5-sample scale."""
+    absvals, finite = np.abs(vals), np.isfinite(vals)
+    # a non-finite double has no trustworthy sign: where one term of an
+    # opposite-sign sum overflows first, v is -inf and its 50-digit value > 0
+    return ~finite | (absvals <= _ZERO_REL * _local_scale(np.where(finite, absvals, 0.0)))
+
+
 def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta), delta = ``DEFAULT_DELTA`` = 1e-6, is
     scanned in double precision.
-    Samples that are not finite, whose magnitude falls under 1e-13 of the
-    local 5-sample scale, or that sit in the edge guard bands, are
-    re-evaluated at 50 digits before a sign is accepted.  The known t -> 0+
+    Samples that are not finite, or whose magnitude falls under 1e-13 of the
+    local 5-sample scale, are re-evaluated at 50 digits before a sign is
+    accepted, and so are those in the edge guard bands, except that a power
+    sum (a name of ``_TABLES``) keeps each edge sample and upper-band probe
+    whose double sum S exceeds its error bound B (``_enclosure``) in
+    magnitude.  ``escalated`` counts the samples and probes taken at 50
+    digits.  The known t -> 0+
     and t -> 1- limit signs are added at either end, so crossings in the
     truncated bands are still reported (their brackets are refined below
     delta and above 1 - delta).  The grid
@@ -697,15 +795,15 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
     with np.errstate(all="ignore"):
         vals = np.asarray(_CHAIN_FLOAT[name](_Samples(FLOAT, c, t)), dtype=float)
 
-    absvals = np.abs(vals)
-    finite = np.isfinite(vals)
-    local = _local_scale(np.where(finite, absvals, 0.0))
-    # a non-finite double has no trustworthy sign: where one term of an
-    # opposite-sign sum overflows first, v is -inf and its 50-digit value > 0
-    ambiguous = ~finite | (absvals <= _ZERO_REL * local)
-
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
-    needs_mp = ambiguous | (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
+    edge = (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
+    if name in _TABLES:
+        # a power sum keeps the edge samples whose double sign its error
+        # bound decides
+        sure = _certified_signs(name, c, t[edge])
+        signs[edge] = sure
+        edge[edge] = sure == 0
+    needs_mp = _ambiguous(vals) | edge
     mp_vals = _mp_chain(name, c, t[needs_mp], kept)
     signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
@@ -720,18 +818,24 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
     s0, s1 = _left_limit_sign(name, c), _right_limit_sign(name, c)
     seq_s = np.concatenate(([s0], signs, [s1]))
 
+    probes = 0
+
     def _sign_at(x: float) -> int:
+        nonlocal probes
         with np.errstate(all="ignore"):
             v = float(_CHAIN_FLOAT[name](_Samples(FLOAT, c, x)))
-        if (
-            not math.isfinite(v)
-            or x >= 1.0 - _EDGE_GUARD
-            or abs(v) <= 1e-12 * (1.0 + abs(v))
-        ):
-            return _sign_of(_mp_chain(name, c, np.array([x]))[0])
-        return _sign_of(v)
+        if math.isfinite(v) and abs(v) > 1e-12 * (1.0 + abs(v)):
+            if x < 1.0 - _EDGE_GUARD:
+                return _sign_of(v)
+            if name in _TABLES:
+                sure = int(_certified_signs(name, c, np.array([x]))[0])
+                if sure:
+                    return sure
+        probes += 1
+        return _sign_of(_mp_chain(name, c, np.array([x]))[0])
 
-    return _classify(seq_t, seq_s, _sign_at)
+    pattern = _classify(seq_t, seq_s, _sign_at)
+    return replace(pattern, escalated=int(needs_mp.sum()) + probes)
 
 
 # ---------------------------------------------------------------------------

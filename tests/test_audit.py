@@ -618,3 +618,107 @@ def test_high_precision_chain_eval_is_the_escalation(c, t, monkeypatch):
     for name in audit._CHAIN_FLOAT:
         want = audit._mp_chain(name, c, np.array([t]), kept)[0]
         assert chain_eval(name, c, t)._mpf_ == want._mpf_, (name, c, t)
+
+
+# ---------------------------------------------------------------------------
+# the double error bound of the power sums (audit._enclosure)
+# ---------------------------------------------------------------------------
+
+# the oracle workload's c of seeds 1-5 (benchmarks/workloads.py, c_grid)
+_SEEDED_CS = (
+    -3.4693, -0.9831, -0.6526, 0.152, 0.2298, 0.2482, 0.3106, 0.5613, 0.5875,
+    0.8655, 1.8022, 2.0625, 4.625, 6.5856,
+    -3.7766, -0.2561, -0.2237, 0.0839, 0.3179, 0.3444, 0.3842, 0.6733, 0.7924,
+    0.7927, 1.5731, 2.9924, 4.3915, 4.6125,
+    -3.06, -2.5387, -1.8503, 0.0553, 0.0762, 0.2916, 0.3003, 0.6437, 0.6537,
+    0.885, 1.9461, 4.8481, 4.8843, 7.0269,
+    -3.5925, -3.0676, -2.4356, 0.0766, 0.112, 0.2106, 0.4172, 0.6388, 0.8561,
+    0.8702, 1.533, 2.6818, 3.0774, 3.6963,
+    -1.5395, -1.0699, -0.859, 0.0616, 0.346, 0.4189, 0.427, 0.7362, 0.8096,
+    0.9273, 1.8608, 2.7236, 3.5171, 4.841,
+)
+_GRID = np.linspace(audit.DEFAULT_DELTA, 1.0 - audit.DEFAULT_DELTA, 10_000)
+_EDGE = (_GRID <= audit._EDGE_GUARD) | (_GRID >= 1.0 - audit._EDGE_GUARD)
+_LONG = np.longdouble
+
+
+def _long_reference(name, c, t, powers):
+    """The exact table of ``name`` summed in long double on t, and a bound on
+    that sum's own error: 4 (n + 4) long-double epsilons of the sum of
+    |terms|, for a powl within 4 of its ulps, plus an underflow allowance.
+    ``powers`` keeps each t^(i + j c) by (i, j)."""
+    from fractions import Fraction
+
+    total = mags = np.zeros_like(t, dtype=_LONG)
+    rows = audit._exact_table(name, c)
+    for a, b, i, j in rows:
+        hi = float(a)
+        a_long = _LONG(hi) + _LONG(float(a - Fraction(hi)))
+        if (i, j) not in powers:
+            b_long = _LONG(i) + _LONG(j) * _LONG(c)
+            assert Fraction(*b_long.as_integer_ratio()) == b  # the exponent is exact
+            powers[i, j] = t.astype(_LONG) ** b_long
+        term = powers[i, j] * a_long
+        total, mags = total + term, mags + np.abs(term)
+    n = len(rows)
+    tiny = _LONG(2.0) ** -16300 * (n + sum(abs(float(a)) for a, _, _, _ in rows))
+    return total, 4 * (n + 4) * np.finfo(_LONG).eps * mags + tiny
+
+
+def _fifty_digit_misses(name, c, idx, total, bound, kept):
+    """The samples ``idx`` where S is not within B of the 50-digit sum, or
+    where |S| > B and S does not carry its sign."""
+    exact = audit._mp_chain(name, c, _GRID[idx], kept)
+    with mp_workdps() as xp:
+        return [
+            float(_GRID[k]) for k, s, b, ref in zip(idx, total[idx].tolist(), bound[idx].tolist(), exact)
+            if abs(xp.asarray(s) - ref) > b or (abs(s) > b and audit._sign_of(s) != audit._sign_of(ref))
+        ]
+
+
+@pytest.mark.skipif(np.finfo(_LONG).nmant < 63, reason="long double is not extended precision")
+@pytest.mark.parametrize("c", list(DEFAULT_C_GRID) + list(_SEEDED_CS) + [-1e3, 1e4])
+def test_power_sum_error_bound_holds(c):
+    # on every finite sample of the grid, |S - S_exact| <= B, and S has the
+    # exact sum's sign wherever |S| > B.  The edge bands, where the scan relies
+    # on B, are checked against 50 digits; the interior against long double,
+    # whose own error is about 1/1000 of B, and at 50 digits wherever that
+    # does not settle the sample
+    kept, powers = {}, {}
+    for name in audit._TABLES:
+        total, bound = audit._enclosure(name, c, _GRID)
+        with np.errstate(all="ignore"):
+            scanned = audit._CHAIN_FLOAT[name](audit._Samples(FLOAT, c, _GRID))
+            ref, err = _long_reference(name, c, _GRID, powers)
+            gap = np.abs(total.astype(_LONG) - ref) + err
+        assert total.tobytes() == scanned.tobytes(), name  # the sum the scan signs
+        sure = np.abs(total) > bound
+        settled = (gap <= bound) & (~sure | ((np.abs(ref) > err) & (np.sign(ref) == np.sign(total))))
+        check = np.flatnonzero(np.isfinite(total) & (_EDGE | ~settled))
+        assert _fifty_digit_misses(name, c, check, total, bound, kept) == [], (name, c)
+
+
+def test_default_grid_audits_escalate_under_budget():
+    # with every edge-band sample at 50 digits, these 14 audits escalated
+    # 1,906 samples and probes; the power sums now keep the edge signs their
+    # bound decides.  f', g and h are no tables and escalate whole edge bands
+    escalated = 0
+    for c in DEFAULT_C_GRID:
+        report = audit_chain(c)
+        for name, entry in {**report.patterns, **report.extras}.items():
+            escalated += entry.observed.escalated
+            if name not in audit._TABLES:
+                assert entry.observed.escalated >= _EDGE.sum(), (name, c)
+        # every interior sample whose double sign the scan trusts clears B
+        for name in audit._TABLES:
+            total, bound = audit._enclosure(name, c, _GRID)
+            trusted = ~audit._ambiguous(total) & ~_EDGE
+            assert np.all(np.abs(total[trusted]) > bound[trusted]), (name, c)
+    assert escalated < 1000
+
+
+def test_escalated_counts_every_fifty_digit_sample():
+    # at c = -1e6 the double grid of f' is not finite anywhere
+    pattern = sign_changes("f_prime", -1e6, 1000)
+    assert pattern.escalated == 1000
+    assert pattern == audit.SignChangePattern(pattern.crossings, pattern.overall)
