@@ -36,9 +36,11 @@ table).  A power sum's t -> 0+ sign is read from its exact table.
 A power sum's double value S comes with a forward error bound B
 (``_enclosure``): exact coefficient and exponent errors, an assumed 4-ulp
 bound on numpy's float64 power (``_POW_ERR``) and the running error of the
-summation.  In the edge guard bands the scan keeps the double sign of a power
-sum wherever |S| > B; f', g and h, which are no tables, escalate their whole
-edge bands.
+summation.  f', g and h take their signs from two such sums
+(``_fraction_enclosures``): M = (F - 1)(t^c - t), a table, and
+N = g (t^c - t) = A (1 - t^(1-c)) - M with A = ((1+t)/2)^(2c), whose bound
+adds A's error.  In the edge guard bands the scan keeps a sign wherever the
+sum it needs clears its bound (``_certified_signs``).
 
 A 50-digit power is an exp and a log, so each is taken once: a samples
 object takes t^c, X, X^c, F and each monomial t^i (t^c)^j once, on first use,
@@ -102,6 +104,10 @@ _C_MIN = 1e-5
 # edge-band signs of the power sums rest on it (``_enclosure``).
 _POW_ERR = 2.0 ** -50
 _U = 2.0 ** -53  # the unit roundoff of doubles
+# A power sum's interior samples below this get their sign from its error
+# bound too: at c = 1e4 v_tprime has samples of about 1e-306 that pass the
+# local-scale test with the wrong sign.
+_NEAR_UNDERFLOW = 2.0 ** -900
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +467,16 @@ _TABLES: Mapping[str, Callable] = {
     ),
 }
 
+# The two sums that decide the signs of f', g and h (``_fraction_enclosures``),
+# in the same rows: M = (F - 1)(t^c - t) and 1 - t^(1-c), from which
+# N = g (t^c - t) = A (1 - t^(1-c)) - M with A = ((1+t)/2)^(2c).  They are no
+# chain functions; ``_SUMS`` holds every table by name.
+_SUMS: Mapping[str, Callable] = {
+    **_TABLES,
+    "fraction_gap": lambda c: ((1 - c, 0, 0), (-c, 0, 1), (c, 1, 0), (c - 1, 1, 1)),
+    "fraction_weight": lambda c: ((1, 0, 0), (-1, 1, -1)),
+}
+
 
 def _table(name: str, xp, c) -> tuple:
     """The terms (a, b, i, j) of ``name`` at c: its rows with a and
@@ -473,7 +489,7 @@ def _table(name: str, xp, c) -> tuple:
 def _cached_table(name: str, c, prec: int | None) -> tuple:
     xp = FLOAT if prec is None else MP  # an MP caller works at precision prec
     c = xp.asarray(c)
-    return tuple((xp.asarray(a), xp.asarray(i + j * c), i, j) for a, i, j in _TABLES[name](c))
+    return tuple((xp.asarray(a), xp.asarray(i + j * c), i, j) for a, i, j in _SUMS[name](c))
 
 
 @functools.lru_cache(maxsize=256)
@@ -483,63 +499,124 @@ def _exact_table(name: str, c: float) -> tuple:
     from fractions import Fraction
 
     c = Fraction(c)
-    return tuple((a, i + j * c, i, j) for a, i, j in _TABLES[name](c))
+    return tuple((a, i + j * c, i, j) for a, i, j in _SUMS[name](c))
 
 
 @functools.lru_cache(maxsize=256)
 def _term_errors(name: str, c: float) -> tuple:
-    """What the double terms of ``name`` at c carry into ``_enclosure``:
+    """What the double terms of ``name`` at c carry into ``_bounded_sum``:
     per term |fl(a) - a|, |fl(a)| + |fl(a) - a| and |fl(b) - b|, from the
-    exact rows; then the largest |fl(b) - b| and the underflow allowance.
-    The two tables list the same rows: ``_d`` drops a row where b = 0, and
-    for the j in {0, 1, 2} of the rows it differentiates j c is exact, so
-    fl(i + j c) is 0 exactly where i + j c is."""
+    exact rows.  The two tables list the same rows: ``_d`` drops a row where
+    b = 0, and for the j in {0, 1, 2} of the rows it differentiates j c is
+    exact, so fl(i + j c) is 0 exactly where i + j c is."""
     from fractions import Fraction
 
     per_term = []
     for (a, b, _, _), (a_x, b_x, _, _) in zip(_table(name, FLOAT, c), _exact_table(name, c)):
         da = float(abs(Fraction(float(a)) - a_x))
         per_term.append((da, abs(float(a)) + da, float(abs(Fraction(float(b)) - b_x))))
-    # a pow or product that falls below the normal range errs by up to 4 of
-    # its ulps 2^-1074 absolutely, not relatively; 2^-1068 per term covers it
-    tiny = 2.0 ** -1068 * (len(per_term) + sum(a_hi for _, a_hi, _ in per_term))
-    return tuple(per_term), max(db for _, _, db in per_term), tiny
+    return tuple(per_term)
+
+
+def _rows(name: str, c: float, t: np.ndarray, log_t: np.ndarray) -> list:
+    """The double terms of ``name`` on t as ``_bounded_sum`` takes them: per
+    row fl(t^fl(b)), fl(a), |fl(a) - a|, |fl(a)| + |fl(a) - a| and the
+    power's relative error eps_pow + |fl(b) - b| |log t| (eps_pow =
+    ``_POW_ERR``; |log t| is ``log_t``)."""
+    return [
+        (t ** b, a, da, a_hi, _POW_ERR + db * log_t)
+        for (a, b, _, _), (da, a_hi, db) in zip(_table(name, FLOAT, c), _term_errors(name, c))
+    ]
+
+
+def _bounded_sum(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sum S of fl(m fl(a)) over the rows (m, fl(a), |fl(a) - a|,
+    |fl(a)| + |fl(a) - a|, rel), left to right, where m is a computed
+    monomial within rel of its exact value; and a bound B on |S - the exact
+    sum| (inf where none is given).
+
+    Row k errs by |fl(a) - a| m plus |a m| (rel + u), the product's u; the
+    sum adds gamma_(n-1) times the sum of |terms| (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3-4).  A power or product
+    that falls below the normal range errs by up to 4 of its ulps 2^-1074
+    absolutely, not relatively; 2^-1068 (1 + |a|) per row covers it.  The
+    factor 2 covers the second-order terms and the rounding of B itself
+    while the first-order relative part stays below 2^-20; beyond that B is
+    inf.
+    """
+    total = mags = bound = worst = tiny = 0.0
+    for m, a, da, a_hi, rel in rows:
+        term = m * a
+        total = total + term
+        mags = mags + np.abs(term)
+        bound = bound + m * (da + a_hi * (rel + _U))
+        worst = np.maximum(worst, rel)
+        tiny += 2.0 ** -1068 * (1.0 + a_hi)
+    n = len(rows) - 1
+    bound = 2.0 * (bound + n * _U / (1.0 - n * _U) * mags + tiny)
+    bound[worst + _U > 2.0 ** -20] = np.inf
+    return total, bound
 
 
 def _enclosure(name: str, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The double power sum S of ``name`` on the samples t, term by term as
-    ``_power_sum`` forms it, and a bound B on |S - the exact sum| (inf where
-    none is given).
+    ``_power_sum`` forms it, fl(fl(t^fl(b)) fl(a)), and its bound B
+    (``_bounded_sum``)."""
+    with np.errstate(all="ignore"):
+        return _bounded_sum(_rows(name, c, t, np.abs(np.log(t))))
 
-    Row k is fl(fl(t^fl(b)) fl(a)), summed left to right; its error is
-    |fl(a) - a| t^b, plus |a t^b| (eps_pow + |fl(b) - b| |log t| + u) from
-    the power (eps_pow = ``_POW_ERR``), the shifted exponent and the product;
-    the sum adds gamma_(n-1) times the sum of |terms| (Higham, Accuracy and
-    Stability of Numerical Algorithms, sections 3-4).  The factor 2 covers the
-    second-order terms and the rounding of B itself while the first-order
-    relative part stays below 2^-20; beyond that B is inf.
+
+def _fraction_enclosures(c: float, t: np.ndarray) -> tuple[tuple, tuple]:
+    """(M, B_M) and (N, B_N) on the double samples t: M = (F - 1)(t^c - t)
+    and N = g (t^c - t) = A (1 - t^(1-c)) - M, A = ((1+t)/2)^(2c), each
+    with its bound (``_bounded_sum``).
+
+    A is fl(fl(fl(1 + t)/2)^(2c)): halving and 2c are exact, and the
+    rounding of 1 + t, by at most u relative, moves A by about |2c| u on top
+    of eps_pow.  A row of 1 - t^(1-c) times A adds that and the product's u
+    to its power's error.  B_N is inf where A or t^(1-c) falls below the
+    normal range, whose absolute errors A or t^(1-c) would magnify.
     """
-    terms = _table(name, FLOAT, c)
-    per_term, db_max, tiny = _term_errors(name, c)
     with np.errstate(all="ignore"):
         log_t = np.abs(np.log(t))
-        total = mags = bound = np.zeros_like(t)
-        for (a, b, _, _), (da, a_hi, db) in zip(terms, per_term):
-            monomial = t ** b
-            term = monomial * a
-            total = total + term
-            mags = mags + np.abs(term)
-            bound = bound + monomial * (da + a_hi * (_POW_ERR + _U + db * log_t))
-        n = len(terms) - 1
-        bound = 2.0 * (bound + n * _U / (1.0 - n * _U) * mags + tiny)
-        bound[_POW_ERR + _U + db_max * log_t > 2.0 ** -20] = np.inf
-    return total, bound
+        gap = _rows("fraction_gap", c, t, log_t)
+        a = (0.5 * (1.0 + t)) ** (2.0 * c)
+        a_err = abs(2.0 * c) * _U + _POW_ERR + _U
+        weight = _rows("fraction_weight", c, t, log_t)
+        power = weight[1][0]  # t^(1-c)
+        n_total, n_bound = _bounded_sum(
+            [(a * m, w, dw, w_hi, rel + a_err) for m, w, dw, w_hi, rel in weight]
+            + [(m, -g, dg, g_hi, rel) for m, g, dg, g_hi, rel in gap]
+        )
+        n_bound[np.minimum(a, power) < 2.0 ** -1022] = np.inf
+        return _bounded_sum(gap), (n_total, n_bound)
+
+
+def _decided(total: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The sign of a double sum where |S| > B, else 0."""
+    return np.where(np.abs(total) > bound, np.sign(total), 0.0).astype(int)
 
 
 def _certified_signs(name: str, c: float, t: np.ndarray) -> np.ndarray:
-    """The sign of the double sum where |S| > B (``_enclosure``), else 0."""
-    total, bound = _enclosure(name, c, t)
-    return np.where(np.abs(total) > bound, np.sign(total), 0.0).astype(int)
+    """The sign of ``name`` on the double samples t where a double error
+    bound decides it, else 0.  A power sum has the sign of its double sum S
+    where |S| > B (``_enclosure``).  On (0, 1) t^c - t has the sign of 1 - c
+    and F > 0, so f' has the sign of -N and g that of (1 - c) N, and where
+    (1 - c) M > 0, that is F > 1, h has g's sign (``_fraction_enclosures``).
+    """
+    if name in _TABLES:
+        return _decided(*_enclosure(name, c, t))
+    m, n = (_decided(*pair) for pair in _fraction_enclosures(c, t))
+    side = _sign_of(1.0 - c)
+    if name == "f_prime":
+        return -n
+    if name == "g":
+        return side * n
+    return np.where(side * m > 0, side * n, 0)
+
+
+# the names whose double signs ``_certified_signs`` decides
+_BOUNDED = frozenset(_TABLES) | {"f_prime", "g", "h"}
 
 
 def _power_sum(name: str, s: _Samples):
@@ -759,8 +836,10 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     accepted, and so are those in the edge guard bands, except that a power
     sum (a name of ``_TABLES``) keeps each edge sample and upper-band probe
     whose double sum S exceeds its error bound B (``_enclosure``) in
-    magnitude.  ``escalated`` counts the samples and probes taken at 50
-    digits.  The known t -> 0+
+    magnitude, and f', g and h each one whose sign N, and for h also M,
+    decide (``_certified_signs``).  A power sum's interior samples below
+    2^-900 also keep their double sign only where |S| > B.  ``escalated``
+    counts the samples and probes taken at 50 digits.  The known t -> 0+
     and t -> 1- limit signs are added at either end, so crossings in the
     truncated bands are still reported (their brackets are refined below
     delta and above 1 - delta).  The grid
@@ -796,14 +875,19 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
         vals = np.asarray(_CHAIN_FLOAT[name](_Samples(FLOAT, c, t)), dtype=float)
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
-    edge = (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    if name in _TABLES:
-        # a power sum keeps the edge samples whose double sign its error
-        # bound decides
-        sure = _certified_signs(name, c, t[edge])
-        signs[edge] = sure
-        edge[edge] = sure == 0
-    needs_mp = _ambiguous(vals) | edge
+    needs_mp = _ambiguous(vals)
+    check = (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
+    if name in _BOUNDED:
+        if name in _TABLES:
+            # near underflow the terms of a power sum lose their relative
+            # precision, which the local-scale test does not see when the
+            # neighbouring samples are as small
+            check |= ~needs_mp & (np.abs(vals) < _NEAR_UNDERFLOW)
+        # keep the samples whose double sign an error bound decides
+        sure = _certified_signs(name, c, t[check])
+        signs[check] = sure
+        check[check] = sure == 0
+    needs_mp |= check
     mp_vals = _mp_chain(name, c, t[needs_mp], kept)
     signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
@@ -827,7 +911,7 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
         if math.isfinite(v) and abs(v) > 1e-12 * (1.0 + abs(v)):
             if x < 1.0 - _EDGE_GUARD:
                 return _sign_of(v)
-            if name in _TABLES:
+            if name in _BOUNDED:
                 sure = int(_certified_signs(name, c, np.array([x]))[0])
                 if sure:
                     return sure
