@@ -9,14 +9,15 @@ Every exponent of ``verify_campaign``, ``means_campaign``,
 ``sharpness_campaign`` and ``factor_grid`` passes the exponent rule,
 ``measure.check_p_value``, before any work; the kernels accept every p != 0.
 
-Three campaigns are batched over stacked arrays, not one Python call per
+The campaigns are batched over stacked arrays, not one Python call per
 instance: ``verify_campaign`` draws the instances of one exponent into
 zero-padded (trials, max_points) arrays with a point mask and evaluates
 them with one ``main_sides_batch`` call; ``schatten_campaign`` builds each
 dimension's PSD pairs once, as (trials, d, d) stacks, and evaluates every
-exponent on them; ``factor_grid`` is one array evaluation.  Not batched:
-``means_campaign`` (one pair per trial) and the witness grid of
-``sharpness_campaign``'s probe (one sample at a time).
+exponent on them; ``factor_grid`` is one array evaluation.
+``means_campaign`` checks the pairs of each exponent as arrays, in blocks of
+_MEANS_BLOCK trials, and the witness grid of ``sharpness_campaign``'s probe is
+one array evaluation.
 
 The draws are not made one numpy call per instance either, yet every seed
 keeps its meaning: ``_draw_stack`` reads the PCG64 words that the calls of
@@ -49,6 +50,10 @@ DEFAULT_TRIALS = 2000
 MAX_POINTS = 12
 
 MEANS_TRIALS = 100
+# Trials of one exponent that means_campaign evaluates as one set of arrays:
+# enough to spread numpy's cost per call, few enough that a 50-digit block
+# holds tens of thousands of mpf, not millions.
+_MEANS_BLOCK = 1024
 
 SCHATTEN_PS = (2.0, 4.0, 8.0, 16.0)
 SCHATTEN_DIMS = (2, 3, 4, 5, 6)
@@ -315,6 +320,10 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     and under ``high`` every step, the checks included, runs at 50 digits.
     In doubles, a side that is not finite, or two sides that both underflow
     to 0, raise NumericRange.
+
+    The pairs of one p are drawn and checked as arrays, _MEANS_BLOCK trials
+    at a time, from the random stream that one draw of two per trial reads;
+    the example fields are those of the first trial.
     """
     _check_draws(seed, trials)
     for p in ps:
@@ -322,41 +331,42 @@ def means_campaign(seed: int = 0, trials: int = MEANS_TRIALS, ps=(3.0,)) -> dict
     rng = np.random.default_rng(seed)
     failures, max_gap = 0, 0.0
     example = example_sides = None
-    with backend() as xp:
+    with backend() as xp, np.errstate(over="ignore"):  # a double overflows to inf
         for p in ps:
             # p - 1 is formed in the backend: in doubles p - 1.0 == p for |p| >= 2^53
             pv = xp.asarray(p)
-            for _ in range(trials):
-                x, y = _positive_uniform(rng.random(2))
+            for start in range(0, trials, _MEANS_BLOCK):
+                n = min(_MEANS_BLOCK, trials - start)
+                x, y = _positive_uniform(rng.random((n, 2))).T
                 logs = _log_mean_gap(xp, x, y)  # every mean below is formed from these
                 if p > 2.0:
                     chain = _agm_chain(xp, x, y, p, logs)
-                    terms = chain.terms
-                    ordered = all(terms[i] >= terms[i + 1] - 1e-12 for i in range(3))
-                    failures += not (ordered and terms[3] >= -1e-12)
+                    t = chain.terms
+                    ordered = (t[0] >= t[1] - 1e-12) & (t[1] >= t[2] - 1e-12)
+                    ordered &= (t[2] >= t[3] - 1e-12) & (t[3] >= -1e-12)
+                    failures += int(np.count_nonzero(~ordered))
                     if example is None:
                         example = {
-                            "x": x, "y": y, "p": p,
-                            "A": chain.A, "G": chain.G,
-                            "Mp": chain.Mp, "Mp_dual": chain.Mp_dual,
-                            "terms": list(terms),
+                            "x": x[0], "y": y[0], "p": p,
+                            "A": chain.A[0], "G": chain.G[0],
+                            "Mp": chain.Mp[0], "Mp_dual": chain.Mp_dual[0],
+                            "terms": [term[0] for term in t],
                         }
                 m1 = _power_mean(xp, logs, 1.0)
                 mp_ = chain.Mp if p > 2.0 else _power_mean(xp, logs, p)
                 mmp = _power_mean(xp, logs, -p)
-                with np.errstate(over="ignore"):  # a double overflows to inf
-                    lhs = xp.asarray(m1) ** pv
-                    rhs = xp.asarray((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_
+                lhs = m1 ** pv
+                rhs = ((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_
                 require_finite(p, lhs=lhs, rhs=rhs)
-                if lhs == 0.0 and rhs == 0.0:
+                if ((lhs == 0.0) & (rhs == 0.0)).any():
                     raise NumericRange(
                         f"both sides at exponent {p!r} underflow to 0 in double precision"
                     )
                 if example_sides is None:
-                    example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
+                    example_sides = {"x": x[0], "y": y[0], "p": p, "lhs": lhs[0], "rhs": rhs[0]}
                 v = relative_violation(lhs, rhs, forward_region(p))
-                max_gap = max(max_gap, v)
-                failures += bool(v > SLACK)
+                max_gap = max(max_gap, float(v.max()))
+                failures += int(np.count_nonzero(v > SLACK))
     return {
         "seed": seed,
         "trials": trials,

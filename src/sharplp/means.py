@@ -14,7 +14,9 @@ by measuring the first-order slope of the substituted gap function near its
 flat point and searching for sign witnesses.
 
 Each quantity is one log-domain expression over a backend ``xp`` of
-``precision``: doubles, or 50 digits under ``SHARPLP_PRECISION=high``.
+``precision``: doubles, or 50 digits under ``SHARPLP_PRECISION=high``.  The
+private kernels are elementwise: on scalars they return scalars, and on
+arrays of pairs or samples, arrays (object arrays of mpf at 50 digits).
 """
 from __future__ import annotations
 
@@ -36,7 +38,11 @@ _WITNESS_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class AGMChain:
-    """The four-term refinement chain between arithmetic and geometric means."""
+    """The four-term refinement chain between arithmetic and geometric means.
+
+    Each field is one value per pair (x, y): a scalar for one pair, or an
+    array, doubles or an object array of mpf, for arrays of pairs.
+    """
 
     A: float
     G: float
@@ -54,20 +60,25 @@ class SharpnessResult:
 
 def _log_mean_gap(xp, x, y):
     """(mid, d): the mean and the half-gap of log x and log y, for x, y > 0,
-    from which ``_power_mean`` forms every power mean of x and y."""
+    from which ``_power_mean`` forms every power mean of x and y.  x and y
+    are scalars or arrays; every kernel below is elementwise over them."""
     lx, ly = xp.log(xp.asarray(x)), xp.log(xp.asarray(y))
     return 0.5 * (lx + ly), 0.5 * (lx - ly)
 
 
 def _power_mean(xp, logs, q):
     """((x^q + y^q)/2)^(1/q), the geometric mean at q = 0, as
-    exp(mid + logcosh(q*d)/q) from ``logs`` = ``_log_mean_gap(xp, x, y)``."""
+    exp(mid + logcosh(q*d)/q) from ``logs`` = ``_log_mean_gap(xp, x, y)``.
+
+    An mpf left of an object array first fails to convert it, and the failure
+    formats the whole array at 50 digits, so each product here, in
+    ``_log_eta`` and in ``_g_rp`` keeps the array left of the scalar."""
     mid, d = logs
     if q == 0.0:
         mean = xp.exp(mid)
     else:
         qv = xp.asarray(q)
-        mean = xp.exp(mid + xp.logcosh(qv * d) / qv)
+        mean = xp.exp(mid + xp.logcosh(d * qv) / qv)
     require_finite(q, power_mean=mean)
     return mean
 
@@ -114,7 +125,8 @@ def constant_factor(alpha: float, p: float, q_exponent: float) -> float:
 def _agm_chain(xp, x, y, p, logs) -> AGMChain:
     """1-(A/Mp)^p' >= (1-(G/Mp)^2)/2 >= (1-(G/Mp')^2)/2 >= 1-(A/Mp')^p for
     x, y > 0 and p > 2, p' = p/(p-1); the terms vanish together at x = y.
-    ``logs`` is ``_log_mean_gap(xp, x, y)``."""
+    ``logs`` is ``_log_mean_gap(xp, x, y)``; x and y may be arrays, and so
+    is then every field of the chain."""
     p_dual = p / (p - 1.0)
     x, y = xp.asarray(x), xp.asarray(y)
     A = 0.5 * (x + y)
@@ -132,7 +144,7 @@ def _agm_chain(xp, x, y, p, logs) -> AGMChain:
 
 def _log_eta(xp, s, p):
     rs = xp.sqrt(s)
-    return xp.logaddexp(p * xp.log1p(rs), p * xp.log1p(-rs)) - xp.log(2.0)
+    return xp.logaddexp(xp.log1p(rs) * p, xp.log1p(-rs) * p) - xp.log(2.0)
 
 
 def _g_rp(xp, s, r, p):
@@ -141,7 +153,7 @@ def _g_rp(xp, s, r, p):
     <= 0 for 0 < p < 2; near s = 0 it is p(1-r)s, which drives sharpness."""
     s, r, pv = xp.asarray(s), xp.asarray(r), xp.asarray(p)
     log_eta = _log_eta(xp, s, pv)
-    inner = r * (xp.log1p(-s) - (2.0 / pv) * log_eta)
+    inner = (xp.log1p(-s) - log_eta * (2.0 / pv)) * r
     g = xp.exp(log_eta / (pv - 1.0) + xp.log1p(xp.exp(inner))) - 2.0
     require_finite(p, g_rp=g)
     return g
@@ -160,6 +172,11 @@ def sharpness_probe(p: float, r: float) -> SharpnessResult:
     the gap fails by more than 1e-12; one exists exactly when the coupling
     power moves in the pinching direction (r > 1 for p > 2, r < 1 for p < 0
     or 0 < p < 2).
+
+    The witness grid is one array evaluation of ``_g_rp``.  The two slope
+    steps and the golden-section polish are sequential and stay scalar; in
+    doubles the slope is a difference quotient, which would magnify the last
+    bits by which numpy's functions differ from libm's.
     """
     p = float(p)
     if p in (0.0, 1.0, 2.0):
@@ -175,7 +192,7 @@ def sharpness_probe(p: float, r: float) -> SharpnessResult:
         lo, hi = _WITNESS_RANGE
         grid = np.exp(np.linspace(math.log(lo), math.log(hi), _WITNESS_POINTS))
         violation = lambda s: -claimed * _g_rp(xp, float(s), r, p)  # > 0 where claim fails
-        vals = np.array([violation(s) for s in grid])
+        vals = -claimed * _g_rp(xp, grid, r, p)
         worst = int(np.argmax(vals))
         witness = None
         if vals[worst] > _WITNESS_THRESHOLD:

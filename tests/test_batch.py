@@ -1,7 +1,9 @@
 """The batch kernels: agreement with the 50-digit path and with a loop over
 instances, and every check of the scalar path applied to each row or member."""
+import dataclasses
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from sharplp import campaigns
+from sharplp import means as means_module
 from sharplp.campaigns import (
     MAX_POINTS,
     _draw_stack,
     _equality_instances,
+    _positive_uniform,
     factor_grid,
     means_campaign,
     random_instance,
@@ -35,8 +40,17 @@ from sharplp.errors import (
     ZeroNorm,
 )
 from sharplp.inequality import main_sides, main_sides_batch
-from sharplp.means import constant_factor, constant_factors
+from sharplp.means import (
+    _agm_chain,
+    _g_rp,
+    _log_mean_gap,
+    _power_mean,
+    constant_factor,
+    constant_factors,
+    sharpness_probe,
+)
 from sharplp.measure import (
+    SLACK,
     MeasureSpace,
     SimpleFunction,
     forward_region,
@@ -47,8 +61,9 @@ from sharplp.measure import (
     overlap_norm_rows,
     overlap_rows,
     power_rows,
+    relative_violation,
 )
-from sharplp.precision import backend
+from sharplp.precision import backend, mp_workdps
 from sharplp.schatten import (
     PSDStack,
     _SpectralPair,
@@ -434,3 +449,175 @@ def test_gamma_equals_two_pass_norms_at_fifty_digits(p):
     with mock.patch.dict(os.environ, HIGH):
         got, want = _gamma_rows(p)
     assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+
+
+def _means_per_trial(rng, trials, ps):
+    """The fields of ``means_campaign`` that depend on the draws, from one
+    Python pass per trial with scalar kernels: the reference the blocked
+    campaign is checked against.  ``rng`` is advanced as the campaign
+    advances its own."""
+    failures, max_gap = 0, 0.0
+    example = example_sides = None
+    with backend() as xp:
+        for p in ps:
+            pv = xp.asarray(p)
+            for _ in range(trials):
+                x, y = _positive_uniform(rng.random(2))
+                logs = _log_mean_gap(xp, x, y)
+                if p > 2.0:
+                    chain = campaigns._agm_chain(xp, x, y, p, logs)
+                    terms = chain.terms
+                    ordered = all(terms[i] >= terms[i + 1] - 1e-12 for i in range(3))
+                    failures += not (ordered and terms[3] >= -1e-12)
+                    if example is None:
+                        example = {
+                            "x": x, "y": y, "p": p,
+                            "A": chain.A, "G": chain.G,
+                            "Mp": chain.Mp, "Mp_dual": chain.Mp_dual,
+                            "terms": list(terms),
+                        }
+                m1 = _power_mean(xp, logs, 1.0)
+                mp_ = chain.Mp if p > 2.0 else _power_mean(xp, logs, p)
+                mmp = _power_mean(xp, logs, -p)
+                lhs = xp.asarray(m1) ** pv
+                rhs = xp.asarray((mp_ + mmp) / 2.0) ** (pv - 1.0) * mp_
+                if example_sides is None:
+                    example_sides = {"x": x, "y": y, "p": p, "lhs": lhs, "rhs": rhs}
+                v = relative_violation(lhs, rhs, forward_region(p))
+                max_gap = max(max_gap, v)
+                failures += bool(v > SLACK)
+    return {
+        "failures": failures,
+        "max_violation": max_gap,
+        "example_chain": example,
+        "example_mean_sides": example_sides,
+    }
+
+
+def _assert_same(got, want, high):
+    """Equal by ``_mpf_`` at 50 digits; in doubles within the golden
+    tolerances, relative 1e-12 or absolute 1e-14 near zero."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_same(got[key], want[key], high)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w, high)
+    elif high and hasattr(want, "_mpf_"):
+        assert got._mpf_ == want._mpf_
+    elif high or isinstance(want, (int, type(None))):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def _assert_means_matches_per_trial(seeds, trials, ps, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+    # the campaign's generator, kept to compare where it is left
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1]
+    )
+    high = os.environ.get("SHARPLP_PRECISION") == "high"
+    failures = []
+    for seed in seeds:
+        made.clear()
+        summary = means_campaign(seed=seed, trials=trials, ps=ps)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = _means_per_trial(rng, trials, ps)
+        _assert_same({key: summary[key] for key in want}, want, high)
+        assert summary["passed"] == (want["failures"] == 0)
+        assert made[0].bit_generator.state == rng.bit_generator.state
+        failures.append(summary["failures"])
+    return failures
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100, "block+1"])
+@pytest.mark.parametrize("ps", [(3.0,), (0.5, -2.0, 1.5, 9.0)], ids=str)
+@pytest.mark.parametrize("mode", ["double", "high"])
+def test_means_campaign_matches_per_trial_reference(mode, ps, trials, monkeypatch):
+    # the 50-digit reference takes about 0.25 ms a trial: there a block of 32
+    # trials lets 100 trials and one block plus one cross block boundaries in
+    # well under a second; the campaign's own block is checked below
+    monkeypatch.setenv("SHARPLP_PRECISION", mode)
+    if mode == "high":
+        monkeypatch.setattr(campaigns, "_MEANS_BLOCK", 32)
+    if trials == "block+1":
+        trials = campaigns._MEANS_BLOCK + 1
+    _assert_means_matches_per_trial(range(6), trials, ps, monkeypatch)
+
+
+def test_means_campaign_matches_per_trial_reference_across_its_block_at_50_digits(monkeypatch):
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    _assert_means_matches_per_trial([0], campaigns._MEANS_BLOCK + 1, (3.0,), monkeypatch)
+
+
+@pytest.mark.parametrize("term", range(4))
+def test_means_campaign_counts_failed_orderings_like_the_reference(term, monkeypatch):
+    # the true chain never fails; one term moved by (x - 1)/10 breaks the
+    # ordering, or term 3's sign, on some trials and not on others
+    def skewed(xp, x, y, p, logs):
+        chain = _agm_chain(xp, x, y, p, logs)
+        terms = list(chain.terms)
+        terms[term] = terms[term] + (x - 1.0) * 0.1
+        return dataclasses.replace(chain, terms=tuple(terms))
+
+    monkeypatch.setenv("SHARPLP_PRECISION", "double")
+    monkeypatch.setattr(campaigns, "_agm_chain", skewed)
+    failures = _assert_means_matches_per_trial(range(3), 100, (3.0, 9.0), monkeypatch)
+    assert all(0 < n < 200 for n in failures)
+
+
+def test_means_campaign_memory_is_bounded_by_its_block(monkeypatch):
+    # drawn and checked at once, 200,000 trials would hold 29 MB
+    monkeypatch.setenv("SHARPLP_PRECISION", "double")
+    means_campaign(seed=0, trials=1)  # first-call allocations are not the campaign's
+    tracemalloc.start()
+    try:
+        means_campaign(seed=0, trials=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_block = campaigns._MEANS_BLOCK * 2 * 8  # the bytes of one block's draws
+    assert peak < 32 * one_block
+
+
+@pytest.mark.parametrize("p, r", [(3.0, 1.1), (-1.5, 0.9), (0.5, 0.9), (6.0, 1.0)])
+def test_sharpness_grid_equals_scalar_g_rp_at_50_digits(p, r, monkeypatch):
+    grids = []
+
+    def spy(xp, s, r, p):
+        g = _g_rp(xp, s, r, p)
+        if isinstance(s, np.ndarray):
+            grids.append((s, g))
+        return g
+
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    monkeypatch.setattr(means_module, "_g_rp", spy)
+    sharpness_probe(p, r)
+    [(grid, values)] = grids
+    assert grid.shape == (means_module._WITNESS_POINTS,)
+    with mp_workdps() as xp:
+        want = [_g_rp(xp, float(s), r, p) for s in grid]
+    assert [v._mpf_ for v in values] == [w._mpf_ for w in want]
+
+
+def test_fifty_digit_means_and_sharpness_format_no_object_array(monkeypatch):
+    # an mpf left of an object array first fails to convert it, and the
+    # failure formats every element: 50 calls for 50 elements
+    calls = []
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    with np.printoptions(formatter={"object": lambda v: calls.append(v) or "?"}):
+        with mp_workdps() as xp:
+            column = xp.asarray(np.linspace(1.0, 2.0, 50))
+            column * xp.asarray(2.0)
+            assert calls == []
+            xp.asarray(2.0) * column
+            assert len(calls) == 50
+        calls.clear()
+        means_campaign(seed=0, trials=50, ps=(3.0, -2.0, 0.5))
+        for p, r in ((3.0, 1.1), (-1.5, 0.9)):
+            sharpness_probe(p, r)
+    assert calls == []
