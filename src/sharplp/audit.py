@@ -31,7 +31,8 @@ come v', v'', q = v''/(2c) and u = t^(3-2c) q; from w's,
 v''' = 2c(1-2c)(c-1) t^(c-3) w and m = -t^(1-c) w.  The same rows also
 evaluate over c as a ``fractions.Fraction``, which is the double c exactly
 (``_exact_table``; fractions is imported there, on the audit's first exact
-table).  A power sum's t -> 0+ sign is read from its exact table.
+table).  Both limit signs of a power sum, at t -> 0+ and t -> 1-, are read
+from its exact rows (``_limit_signs``).
 
 A power sum's double value S comes with a forward error bound B
 (``_enclosure``): exact coefficient and exponent errors, an assumed 4-ulp
@@ -603,9 +604,12 @@ def _certified_signs(name: str, c: float, t: np.ndarray) -> np.ndarray:
     where |S| > B (``_enclosure``).  On (0, 1) t^c - t has the sign of 1 - c
     and F > 0, so f' has the sign of -N and g that of (1 - c) N, and where
     (1 - c) M > 0, that is F > 1, h has g's sign (``_fraction_enclosures``).
+    No bound is given for f, so its signs are all 0.
     """
     if name in _TABLES:
         return _decided(*_enclosure(name, c, t))
+    if name == "f":
+        return np.zeros(t.shape, dtype=int)
     m, n = (_decided(*pair) for pair in _fraction_enclosures(c, t))
     side = _sign_of(1.0 - c)
     if name == "f_prime":
@@ -613,10 +617,6 @@ def _certified_signs(name: str, c: float, t: np.ndarray) -> np.ndarray:
     if name == "g":
         return side * n
     return np.where(side * m > 0, side * n, 0)
-
-
-# the names whose double signs ``_certified_signs`` decides
-_BOUNDED = frozenset(_TABLES) | {"f_prime", "g", "h"}
 
 
 def _power_sum(name: str, s: _Samples):
@@ -700,36 +700,36 @@ class SignChangePattern:
 
 
 @functools.lru_cache(maxsize=256)
-def _left_limit_sign(name: str, c: float) -> int:
-    """Sign of the t -> 0+ limit; 0 if none is known.
+def _limit_signs(name: str, c: float) -> tuple[int, int]:
+    """The signs of the t -> 0+ and t -> 1- limits; 0 where none is known.
 
-    A power sum's sign is read from its exact table: the sign of the
-    coefficient sum at the lowest exponent, moving up while that sum is
-    zero.  f_prime, g and h keep the chain's stated asymptotics.
-    Needed because a crossing can fall below the truncated scan interval (for
-    small c the g/h crossing sits at astronomically small t).
+    A power sum's signs are read from its exact table, with rows merged by
+    exact exponent b.  At 0+ it is the sign of the coefficient sum at the
+    lowest b.  At 1-, with s = 1 - t, t^b is the sum of C(b, k) (-s)^k, so
+    it is (-1)^k times the sign of the sum of a C(b, k) at the lowest k
+    where that sum is not 0; a sum that is 0 for every k below the number
+    of exponents is 0 identically.  f_prime, g and h keep the chain's stated
+    t -> 0+ asymptotics.  Needed because a crossing can fall outside the
+    truncated scan interval: for small c the g/h crossing sits at
+    astronomically small t, for large c the v'' crossing near t = 1 - 1.6/c.
     """
-    if name in ("g", "h"):
-        return -1 if c < 0.5 else 1
-    if name == "f_prime":
-        hs = -1 if c < 0.5 else 1
-        sgn_1c = 1 if c < 1.0 else -1
-        return -sgn_1c * hs
+    if name in ("f_prime", "g", "h"):
+        hs = -1 if c < 0.5 else 1  # g and h; f' has the sign of -(1 - c) g
+        return (-hs if name == "f_prime" and c < 1.0 else hs), 0
     if name not in _TABLES:
-        return 0
+        return 0, 0
     sums: dict = {}
     for a, b, _, _ in _exact_table(name, c):
         sums[b] = sums.get(b, 0) + a
-    return next((_sign_of(s) for _, s in sorted(sums.items()) if s != 0), 0)
-
-
-def _right_limit_sign(name: str, c: float) -> int:
-    """Sign of the t -> 1- limit (0 where not derived): the sign of the leading
-    Taylor term in s = 1 - t, (c-1)^2 (2c-1) s for q_factor and u, 2c times
-    that for v'', and c (c-1)^2 (2c-1) s^3 / 3 for v.  Needed because for large
-    c the v'' crossing, near t = 1 - 1.6/c, falls above the scan interval."""
-    lead = {"q_factor": 1.0, "u": 1.0, "v": c, "v_dprime": c}.get(name, 0.0)
-    return _sign_of(lead * (c - 1.0) ** 2 * (2.0 * c - 1.0))
+    rows = sorted((b, a) for b, a in sums.items() if a != 0)
+    left = _sign_of(rows[0][1]) if rows else 0
+    binomials = [1] * len(rows)  # C(b, k) per row, from k = 0
+    for k in range(len(rows)):
+        total = sum(a * binomial for (_, a), binomial in zip(rows, binomials))
+        if total != 0:
+            return left, (-1) ** k * _sign_of(total)
+        binomials = [x * (b - k) / (k + 1) for x, (b, _) in zip(binomials, rows)]
+    return left, 0
 
 
 def _sign_of(x: float) -> int:
@@ -840,7 +840,8 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     decide (``_certified_signs``).  A power sum's interior samples below
     2^-900 also keep their double sign only where |S| > B.  ``escalated``
     counts the samples and probes taken at 50 digits.  The known t -> 0+
-    and t -> 1- limit signs are added at either end, so crossings in the
+    and t -> 1- limit signs are added at either end, those of a power sum
+    both read from its exact rows (``_limit_signs``), so crossings in the
     truncated bands are still reported (their brackets are refined below
     delta and above 1 - delta).  The grid
     is classified with array operations: a crossing is a pair of consecutive
@@ -877,16 +878,15 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = _ambiguous(vals)
     check = (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    if name in _BOUNDED:
-        if name in _TABLES:
-            # near underflow the terms of a power sum lose their relative
-            # precision, which the local-scale test does not see when the
-            # neighbouring samples are as small
-            check |= ~needs_mp & (np.abs(vals) < _NEAR_UNDERFLOW)
-        # keep the samples whose double sign an error bound decides
-        sure = _certified_signs(name, c, t[check])
-        signs[check] = sure
-        check[check] = sure == 0
+    if name in _TABLES:
+        # near underflow the terms of a power sum lose their relative
+        # precision, which the local-scale test does not see when the
+        # neighbouring samples are as small
+        check |= ~needs_mp & (np.abs(vals) < _NEAR_UNDERFLOW)
+    # keep the samples whose double sign an error bound decides
+    sure = _certified_signs(name, c, t[check])
+    signs[check] = sure
+    check[check] = sure == 0
     needs_mp |= check
     mp_vals = _mp_chain(name, c, t[needs_mp], kept)
     signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
@@ -899,7 +899,7 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
     # the limit signs at t = 0 and t = 1 frame the samples; an unknown one is 0,
     # which classification skips
     seq_t = np.concatenate(([0.0], t, [1.0]))
-    s0, s1 = _left_limit_sign(name, c), _right_limit_sign(name, c)
+    s0, s1 = _limit_signs(name, c)
     seq_s = np.concatenate(([s0], signs, [s1]))
 
     probes = 0
@@ -911,10 +911,9 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
         if math.isfinite(v) and abs(v) > 1e-12 * (1.0 + abs(v)):
             if x < 1.0 - _EDGE_GUARD:
                 return _sign_of(v)
-            if name in _BOUNDED:
-                sure = int(_certified_signs(name, c, np.array([x]))[0])
-                if sure:
-                    return sure
+            sure = int(_certified_signs(name, c, np.array([x]))[0])
+            if sure:
+                return sure
         probes += 1
         return _sign_of(_mp_chain(name, c, np.array([x]))[0])
 

@@ -337,19 +337,7 @@ def test_sign_changes_finds_crossing_above_truncation(c):
     (crossing,) = pattern.crossings
     assert 1.0 - audit.DEFAULT_DELTA <= crossing.bracket_lo < crossing.bracket_hi <= 1.0
     assert 1.5 <= c * (1.0 - crossing.bracket_hi) <= 1.7
-    assert audit._right_limit_sign("v_dprime", c) == 1
-
-
-def test_right_limit_signs_match_fifty_digits():
-    # the leading Taylor terms at t = 1 against the functions just below 1
-    for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 3.5, 8.0):
-        for name in ("v", "v_dprime", "q_factor", "u"):
-            want = audit._right_limit_sign(name, c)
-            got = audit._mp_chain(name, c, np.array([1.0 - 1e-9]))[0]
-            assert want == audit._sign_of(got), (name, c)
-    assert audit._right_limit_sign("v_dprime", 1.0) == 0
-    assert audit._right_limit_sign("v_dprime", 0.5) == 0
-    assert audit._right_limit_sign("g", 3.0) == 0
+    assert audit._limit_signs("v_dprime", c)[1] == 1
 
 
 @pytest.mark.parametrize(
@@ -375,9 +363,32 @@ _LIMIT_CS = np.linspace(-8.0, 20.0, 121).tolist() + [
 def test_left_limit_signs_match_fifty_digits(name):
     t = np.array([1e-60])
     for c in _LIMIT_CS:
-        want = audit._left_limit_sign(name, c)
+        want = audit._limit_signs(name, c)[0]
         if want != 0:
             assert want == audit._sign_of(audit._mp_chain(name, c, t)[0]), (name, c)
+
+
+def test_right_limit_signs_match_fifty_digits():
+    # the leading term in s = 1 - t of every table against its value just
+    # below 1; every table has a known sign there at every c of the grid
+    t = np.array([1.0 - 1e-12])
+    for name in audit._TABLES:
+        for c in _LIMIT_CS:
+            want = audit._limit_signs(name, c)[1]
+            assert want == audit._sign_of(audit._mp_chain(name, c, t)[0]) != 0, (name, c)
+    # v is 0 identically at c in {1/2, 1}; g's t -> 1- sign is not derived
+    assert audit._limit_signs("v_dprime", 1.0) == (0, 0)
+    assert audit._limit_signs("v_dprime", 0.5) == (0, 0)
+    assert audit._limit_signs("g", 3.0)[1] == 0
+
+
+@pytest.mark.parametrize("c", [0.3, 3.5, -1.0])
+def test_sign_changes_of_f_sends_its_edge_samples_to_fifty_digits(c):
+    # no error bound decides f's double signs, so its samples in the edge
+    # guard bands go to 50 digits, 4 of them at this grid
+    pattern = sign_changes("f", c, 2000)
+    assert pattern.escalated == 4 and pattern.crossings == ()
+    assert pattern.overall is (PatternKind.NEGATIVE if c < 0 else PatternKind.POSITIVE)
 
 
 @pytest.mark.parametrize("c", [-3.0, 0.3, 0.7, 2.0, 3.5])

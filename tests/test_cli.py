@@ -284,6 +284,8 @@ def test_contour_stdout_matches_out_file(tmp_path, capsys):
         ["audit", "--c-grid=nan"],
         ["audit", "--c", "inf"],  # argparse reads --c as the prefix of --c-grid
         ["contour", "--p-max", "inf"],
+        ["verify", "--p-list", "abc"],
+        ["contour", "--alpha-min=-0.5"],
     ],
     ids=" ".join,
 )
