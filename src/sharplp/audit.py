@@ -40,8 +40,8 @@ bound on numpy's float64 power (``_POW_ERR``) and the running error of the
 summation.  f', g and h take their signs from two such sums
 (``_fraction_enclosures``): M = (F - 1)(t^c - t), a table, and
 N = g (t^c - t) = A (1 - t^(1-c)) - M with A = ((1+t)/2)^(2c), whose bound
-adds A's error.  In the edge guard bands the scan keeps a sign wherever the
-sum it needs clears its bound (``_certified_signs``).
+adds A's error.  In the edge guard bands a sample or probe keeps its double
+sign only where the sum it needs clears its bound (``_certified_signs``).
 
 A 50-digit power is an exp and a log, so each is taken once: a samples
 object takes t^c, X, X^c, F and each monomial t^i (t^c)^j once, on first use,
@@ -50,7 +50,8 @@ one t ** b).  The functions of one c mostly escalate the same samples, the
 edge guard bands', so within one ``audit_chain`` call they share one samples
 object until a function escalates another set; each value is the same mpf a
 lone function would take, and nothing is kept once the call returns.
-Doubles keep one numpy power t ** b per term and share nothing.
+Doubles keep one numpy power t ** b per term; the scans of one
+``audit_chain`` share one double grid and its t^c, X, X^c and F (``_grid``).
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ from .errors import (
     TooCoarse,
     ZeroExponent,
 )
-from .measure import check_p_value
+from .measure import _check_exponent, check_p_value
 from .precision import FLOAT, MP, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
@@ -118,8 +119,7 @@ _NEAR_UNDERFLOW = 2.0 ** -900
 
 def _check_a(a: float, p: float) -> bool:
     """Validate (a, p) for b and h; True at the endpoints a in {0, 1}."""
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
+    _check_exponent(p)
     if not 0.0 <= a <= 1.0:
         raise OutOfDomain(f"a must lie in [0, 1], got {a}")
     if a in (0.0, 1.0) and p < 0.0:
@@ -157,9 +157,7 @@ def invert_b(b_target: float, p: float) -> float:
     returned); for p < 0 the upper bracket expands toward 1 until it encloses
     the target.
     """
-    b_target, p = float(b_target), float(p)
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
+    b_target, p = float(b_target), _check_exponent(p)
     if p == 1.0:
         raise ExponentOutOfRange("b is identically 1 at p = 1; nothing to invert")
     with backend() as xp:
@@ -242,8 +240,7 @@ def hyperbolic_point(x: float, p: float) -> HyperbolicPoint:
         raise OutOfDomain("x must be >= 0 (the parametrization is symmetric)")
     if p == 1.0:
         raise SingularPoint("p = 1 makes the derivative quotients identically singular")
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
+    _check_exponent(p)
 
     with backend() as xp:
         xv, pv, log2 = xp.asarray(x), xp.asarray(p), xp.log(2.0)
@@ -380,12 +377,12 @@ class _Samples:
         return self._monomials[i, j]
 
 
-def _fraction_double(c: float, t: np.ndarray) -> np.ndarray:
-    """F on doubles, divided through by t^c where t^c overflows."""
+def _fraction_double(grid: _Samples) -> np.ndarray:
+    """F on the double samples, divided through by t^c where t^c overflows."""
     with np.errstate(all="ignore"):
-        fraction = _Samples(FLOAT, c, t).fraction
+        fraction = grid.fraction.copy()
         lost = ~np.isfinite(fraction)
-        tl = t[lost]
+        c, tl = grid.c, grid.t[lost]
         fraction[lost] = (1.0 - c) * (1.0 + tl ** -c) * (1.0 - tl) / (1.0 - tl ** (1.0 - c))
     return fraction
 
@@ -555,8 +552,7 @@ def _bounded_sum(rows: list) -> tuple[np.ndarray, np.ndarray]:
         tiny += 2.0 ** -1068 * (1.0 + a_hi)
     n = len(rows) - 1
     bound = 2.0 * (bound + n * _U / (1.0 - n * _U) * mags + tiny)
-    bound[worst + _U > 2.0 ** -20] = np.inf
-    return total, bound
+    return total, np.where(worst + _U > 2.0 ** -20, np.inf, bound)
 
 
 def _enclosure(name: str, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,7 +585,7 @@ def _fraction_enclosures(c: float, t: np.ndarray) -> tuple[tuple, tuple]:
             [(a * m, w, dw, w_hi, rel + a_err) for m, w, dw, w_hi, rel in weight]
             + [(m, -g, dg, g_hi, rel) for m, g, dg, g_hi, rel in gap]
         )
-        n_bound[np.minimum(a, power) < 2.0 ** -1022] = np.inf
+        n_bound = np.where(np.minimum(a, power) < 2.0 ** -1022, np.inf, n_bound)
         return _bounded_sum(gap), (n_total, n_bound)
 
 
@@ -664,8 +660,6 @@ def chain_eval(name: str, c: float, t: float) -> float:
     with backend() as xp:
         if t == 1.0 and name in _AT_ONE:
             return xp.asarray(_AT_ONE[name])
-        if xp is MP:
-            return _mp_chain(name, c, np.array([t]))[0]
         with np.errstate(all="ignore"):
             return _CHAIN_FLOAT[name](_Samples(xp, c, t))
 
@@ -830,27 +824,27 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta), delta = ``DEFAULT_DELTA`` = 1e-6, is
-    scanned in double precision.
-    Samples that are not finite, or whose magnitude falls under 1e-13 of the
-    local 5-sample scale, are re-evaluated at 50 digits before a sign is
-    accepted, and so are those in the edge guard bands, except that a power
-    sum (a name of ``_TABLES``) keeps each edge sample and upper-band probe
-    whose double sum S exceeds its error bound B (``_enclosure``) in
-    magnitude, and f', g and h each one whose sign N, and for h also M,
-    decide (``_certified_signs``).  A power sum's interior samples below
+    scanned in double precision.  Samples that are not finite, or whose
+    magnitude falls under 1e-13 of the local 5-sample scale, go to 50 digits
+    before a sign is accepted.  In the edge guard bands, t <= 1e-3 and
+    t >= 1 - 1e-3, a grid sample or bisection probe keeps its double sign
+    only where an error bound decides it (``_certified_signs``), and goes to
+    50 digits otherwise: a power sum (a name of ``_TABLES``) where |S| > B
+    for its double sum S and bound B (``_enclosure``), f', g and h where N,
+    and for h also M, decide it.  A power sum's interior samples below
     2^-900 also keep their double sign only where |S| > B.  ``escalated``
     counts the samples and probes taken at 50 digits.  The known t -> 0+
     and t -> 1- limit signs are added at either end, those of a power sum
     both read from its exact rows (``_limit_signs``), so crossings in the
     truncated bands are still reported (their brackets are refined below
-    delta and above 1 - delta).  The grid
-    is classified with array operations: a crossing is a pair of consecutive
-    nonzero samples of opposite sign (zero samples are skipped), and only
-    those pairs reach Python, where each is bisected to a bracket of width
-    1e-10.  The escalated samples are evaluated together, as one 50-digit
-    object array; only the bisection probes go to 50 digits one at a time,
-    each as an array of one sample.  A call shares nothing with other calls;
-    within one ``audit_chain`` the functions of its c share t^c, the
+    delta and above 1 - delta).  The grid is classified with array
+    operations: a crossing is a pair of consecutive nonzero samples of
+    opposite sign (zero samples are skipped), and only those pairs reach
+    Python, where each is bisected to a bracket of width 1e-10.  The
+    escalated samples are evaluated together, as one 50-digit object array;
+    only the bisection probes go one at a time.  A call shares nothing with
+    other calls.  Within one ``audit_chain`` every function of its c is
+    scanned on one double grid (``_grid``), and the functions share t^c, the
     monomials and F on the samples they escalate alike (``_mp_chain``).
     No Python loop runs over the grid's samples.  c must pass the audit's
     c rule (``_check_c``): it raises ExponentOutOfRange at c in {1/2, 1},
@@ -858,22 +852,28 @@ def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     within 1e-9 of 0), where t^c is not a usable double anywhere on the grid,
     and for |c| < 1e-5, where f', g and h cancel to roundoff near t = 1.
     """
-    return _scan(name, c, grid_size, {})
-
-
-def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
-    """``sign_changes``, escalating through ``kept`` (see ``_mp_chain``)."""
-    if grid_size < 1000:
-        raise TooCoarse("grid_size must be at least 1000")
     if name not in CHAIN_NAMES:
         raise NameRequiresC(f"unknown chain function {name!r}")
     if name == "h0":
         raise NameRequiresC("h0 is a limit value, not a function of t")
-    c = _check_c(c)
+    return _scan(name, _grid(c, grid_size), {})
 
-    t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
+
+def _grid(c: float, grid_size: int) -> _Samples:
+    """The double grid every scan of c shares, once c passes the audit's c
+    rule (``_check_c``): ``grid_size`` >= 1000 points on (delta, 1 - delta)."""
+    c = _check_c(c)
+    if grid_size < 1000:
+        raise TooCoarse("grid_size must be at least 1000")
+    return _Samples(FLOAT, c, np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size))
+
+
+def _scan(name: str, grid: _Samples, kept: dict) -> SignChangePattern:
+    """``sign_changes`` of ``name`` on the double samples ``grid`` of its c,
+    escalating through ``kept`` (see ``_mp_chain``)."""
+    c, t = float(grid.c), grid.t
     with np.errstate(all="ignore"):
-        vals = np.asarray(_CHAIN_FLOAT[name](_Samples(FLOAT, c, t)), dtype=float)
+        vals = np.asarray(_CHAIN_FLOAT[name](grid), dtype=float)
 
     signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
     needs_mp = _ambiguous(vals)
@@ -909,9 +909,9 @@ def _scan(name: str, c: float, grid_size: int, kept: dict) -> SignChangePattern:
         with np.errstate(all="ignore"):
             v = float(_CHAIN_FLOAT[name](_Samples(FLOAT, c, x)))
         if math.isfinite(v) and abs(v) > 1e-12 * (1.0 + abs(v)):
-            if x < 1.0 - _EDGE_GUARD:
+            if _EDGE_GUARD < x < 1.0 - _EDGE_GUARD:  # outside the edge bands
                 return _sign_of(v)
-            sure = int(_certified_signs(name, c, np.array([x]))[0])
+            sure = int(_certified_signs(name, c, np.float64(x)))
             if sure:
                 return sure
         probes += 1
@@ -990,20 +990,20 @@ def audit_chain(c: float, grid_size: int = 10_000) -> ChainReport:
     The five pattern-bearing functions gate the audit; the intermediate
     helpers are reported informationally only on the parameter ranges where
     the argument uses them.  The always-positive second factor is checked on
-    the same grid.  c must pass the audit's c rule (``_check_c``).  The
-    scans share the 50-digit samples they escalate alike, and drop them when
-    the call returns.
+    the same grid.  c must pass the audit's c rule (``_check_c``), checked
+    once.  The scans share one double grid (``_grid``) and the 50-digit
+    samples they escalate alike, and drop both when the call returns.
     """
-    c = _check_c(c)
+    grid = _grid(c, grid_size)
+    c = float(grid.c)
     kept: dict = {}
 
     def entry(name: str, expected: PatternKind) -> PatternEntry:
-        observed = _scan(name, c, grid_size, kept)
+        observed = _scan(name, grid, kept)
         return PatternEntry(observed, expected, match=observed.overall is expected)
 
     patterns = {name: entry(name, expected_pattern(name, c)) for name in CORE_AUDIT_NAMES}
     extras = {name: entry(name, kind) for name, kind in _extra_expectations(c).items()}
 
-    t = np.linspace(DEFAULT_DELTA, 1.0 - DEFAULT_DELTA, grid_size)
-    fraction_min = float(np.nanmin(_fraction_double(c, t)))
+    fraction_min = float(np.nanmin(_fraction_double(grid)))
     return ChainReport(c, patterns, extras, fraction_min, bool(fraction_min > 1.0 - 1e-12))

@@ -29,7 +29,6 @@ from .errors import (
     NonpositiveValueForNegativeP,
     NotProbabilitySpace,
     OutOfRangeAlpha,
-    ZeroExponent,
     ZeroNorm,
     ZeroSumPoint,
 )
@@ -40,6 +39,7 @@ from .measure import (
     RegionKind,
     SimpleFunction,
     _check_aligned,
+    _check_exponent,
     _checked_rows,
     check_stack,
     forward_region,
@@ -106,8 +106,7 @@ class SidesBatch:
 
 def _validate_pair(f: np.ndarray, g: np.ndarray, p: float) -> None:
     """Checks on the points (not the padding) of f and g."""
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
+    _check_exponent(p)
     if (f < 0.0).any() or (g < 0.0).any():
         raise NegativeInput("f and g must be nonnegative")
     if not forward_region(p) and ((f == 0.0).any() or (g == 0.0).any()):
@@ -263,9 +262,7 @@ def jensen_audit(
     of b, the mean of H(b(alpha)) over a probability space lies above H of the
     mean for p > 2 (H convex) and below it for p < 2 (H concave).
     """
-    p = float(p)
-    if p == 0.0:
-        raise ZeroExponent("p = 0 is not admissible")
+    p = _check_exponent(p)
     if p in (1.0, 2.0):
         raise ExponentOutOfRange("the averaging audit needs p outside {1, 2}")
     _check_aligned(alpha, prob_space)

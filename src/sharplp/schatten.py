@@ -137,13 +137,6 @@ class PSDMatrix:
     def eigenvalues(self) -> np.ndarray:
         return self.stack.eigvals[0]
 
-    def power(self, q: float) -> np.ndarray:
-        """Spectral fractional power A^q as a dense array (0^q := 0)."""
-        lam, vec = self.eigenvalues(), self.stack.eigvecs[0]
-        with np.errstate(divide="ignore"):
-            powered = np.where(lam > 0.0, lam ** q, 0.0)
-        return (vec * powered) @ _adjoint(vec)
-
     def __repr__(self) -> str:
         return f"PSDMatrix(dim={self.dim})"
 

@@ -243,7 +243,8 @@ def test_derivative_factorization():
         for t in np.linspace(0.05, 0.95, 19):
             t = float(t)
             x_big = (1.0 + t) ** 2 / (4.0 * t)
-            bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / audit._fraction_double(c, np.array([t]))[0]
+            fraction = audit._fraction_double(audit._Samples(FLOAT, c, np.array([t])))[0]
+            bracket = 1.0 / (x_big ** c + 1.0) - 1.0 / fraction
             want = (1.0 - c) * (1.0 - t) / (t * (1.0 + t)) * bracket
             assert chain_eval("f_prime", c, t) == pytest.approx(want, rel=1e-10)
 
@@ -251,12 +252,14 @@ def test_derivative_factorization():
 def test_fraction_lemma():
     t = np.linspace(1e-5, 1.0 - 1e-5, 200)
     for c in (-3.0, -0.2, 0.3, 0.7, 1.3, 2.0, 8.0):
-        assert np.all(audit._fraction_double(c, t) > 1.0)
+        assert np.all(audit._fraction_double(audit._Samples(FLOAT, c, t)) > 1.0)
 
 
 def test_fraction_bound_divides_through_where_t_to_the_c_overflows():
     # 0.5^-1e6 overflows; divided through by t^c the factor is (1-c)/2
-    assert audit._fraction_double(-1e6, np.array([0.5]))[0] == 500000.5
+    grid = audit._Samples(FLOAT, -1e6, np.array([0.5]))
+    assert audit._fraction_double(grid)[0] == 500000.5
+    assert np.isnan(grid.fraction[0])  # the grid's own F is left as it is
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 1000, 10_000])
@@ -593,11 +596,29 @@ def test_batched_escalation_equals_scalar_path(c):
 def test_audit_chain_equals_standalone_scans(c):
     report = audit_chain(c)
     entries = {**report.patterns, **report.extras}
-    kept = {}
+    grid, kept = audit._grid(c, 10_000), {}
     for name in reversed(list(entries)):
-        # standalone, sharing nothing, and in reverse order through one dict
+        # standalone, sharing nothing, and in reverse order through one grid
+        # and one dict
         assert sign_changes(name, c, 10_000) == entries[name].observed, (name, c)
-        assert audit._scan(name, c, 10_000, kept) == entries[name].observed, (name, c)
+        assert audit._scan(name, grid, kept) == entries[name].observed, (name, c)
+
+
+def test_audit_chain_validates_c_once_on_one_double_grid(monkeypatch):
+    checked, grids = [], []
+    check_c = audit._check_c
+
+    class Recorded(audit._Samples):
+        def __init__(self, xp, c, t):
+            super().__init__(xp, c, t)
+            if xp is FLOAT and np.size(t) > 1:
+                grids.append(np.size(t))
+
+    monkeypatch.setattr(audit, "_check_c", lambda c: checked.append(c) or check_c(c))
+    monkeypatch.setattr(audit, "_Samples", Recorded)
+    report = audit_chain(3.5, 2000)
+    assert len(report.patterns) + len(report.extras) == 7
+    assert checked == [3.5] and grids == [2000]
 
 
 # at 0.35 the functions share the edge bands' samples; at 1e4 g, u and
@@ -619,10 +640,12 @@ def test_audit_chain_keeps_no_samples_after_it_returns(c, monkeypatch):
     assert [ref for ref in escalated if ref() is not None] == []
 
 
-# the escalated samples are shared in one dict across names, so each later
-# name reuses t^c, X, X^c, F and the monomials of the earlier ones
-@pytest.mark.parametrize("c", [-3.0, 0.35, 2.0, 3.5])
-@pytest.mark.parametrize("t", [1e-4, 0.3, 1.0 - 1e-9])
+# chain_eval's one call shape, a formula on one 50-digit sample, against the
+# escalation's object array; the escalated samples are shared in one dict
+# across names, so each later name reuses t^c, X, X^c, F and the monomials of
+# the earlier ones
+@pytest.mark.parametrize("c", [-1e3, -3.0, 0.05, 0.35, 2.0, 3.5, 1e4])
+@pytest.mark.parametrize("t", [1e-12, 1e-4, 0.3, 1.0 - 1e-9])
 def test_high_precision_chain_eval_is_the_escalation(c, t, monkeypatch):
     monkeypatch.setenv("SHARPLP_PRECISION", "high")
     kept = {}
@@ -707,6 +730,40 @@ def test_power_sum_error_bound_holds(c):
         settled = (gap <= bound) & (~sure | ((np.abs(ref) > err) & (np.sign(ref) == np.sign(total))))
         check = np.flatnonzero(np.isfinite(total) & (_EDGE | ~settled))
         assert _fifty_digit_misses(name, c, check, total, bound, kept) == [], (name, c)
+
+
+@pytest.mark.parametrize("name", list(audit._CHAIN_FLOAT))
+def test_certified_sign_of_a_probe_is_that_of_an_array(name):
+    # a bisection probe certifies its one float64 t, a grid sample within an
+    # array; numpy takes a scalar's power from libm and an array's from SIMD
+    t = np.concatenate((
+        _GRID[_EDGE], np.geomspace(1e-18, 1e-3, 9), 1.0 - np.geomspace(1e-12, 1e-3, 9)
+    ))
+    decided = 0
+    for c in list(DEFAULT_C_GRID) + [-1e3, 1e4]:
+        grid = audit._certified_signs(name, c, t)
+        probes = [int(audit._certified_signs(name, c, np.float64(x))) for x in t.tolist()]
+        ones = [int(audit._certified_signs(name, c, np.array([x]))[0]) for x in t.tolist()]
+        assert probes == ones == grid.tolist(), (name, c)
+        decided += np.count_nonzero(grid)
+    assert decided > 0 or name == "f"
+
+
+@pytest.mark.parametrize("name, c", [("g", 0.2), ("f_prime", 0.2), ("g", 0.05), ("h", 0.05)])
+def test_lower_band_probes_keep_only_certified_double_signs(name, c, monkeypatch):
+    # a double that gives a probe in t <= 1e-3 the wrong sign must not move
+    # the crossing: the probe keeps its sign only where the error bound
+    # decides it, as a grid sample there does, and goes to 50 digits otherwise
+    want = sign_changes(name, c, 10_000)
+    formula = audit._CHAIN_FLOAT[name]
+
+    def negated(s):
+        probe = s.xp is FLOAT and np.ndim(s.t) == 0 and s.t <= audit._EDGE_GUARD
+        return -formula(s) if probe else formula(s)
+
+    monkeypatch.setitem(audit._CHAIN_FLOAT, name, negated)
+    got = sign_changes(name, c, 10_000)
+    assert got == want and got.crossings[0].bracket_hi <= audit._EDGE_GUARD
 
 
 def test_default_grid_audits_escalate_under_budget():

@@ -252,12 +252,20 @@ def test_dim_one_matrices():
     assert lhs == pytest.approx(rhs, rel=1e-12)  # scalars commute
 
 
+def _power(M, q):
+    """The spectral power M^q as a dense array (0^q := 0)."""
+    lam, vec = M.eigenvalues(), M.stack.eigvecs[0]
+    with np.errstate(divide="ignore"):
+        powered = np.where(lam > 0.0, lam ** q, 0.0)
+    return (vec * powered) @ vec.conj().T
+
+
 def _dense_traces(A, B, p):
     """tr[B^(p/4) A^(p/2) B^(p/4)] and tr[B^(p/2) A^p B^(p/2)] by their
     definition: products of dense spectral powers."""
-    Bq, Bh = B.power(p / 4.0), B.power(p / 2.0)
-    mixed = np.trace(Bq @ A.power(p / 2.0) @ Bq)
-    rhs = np.trace(Bh @ A.power(p) @ Bh)
+    Bq, Bh = _power(B, p / 4.0), _power(B, p / 2.0)
+    mixed = np.trace(Bq @ _power(A, p / 2.0) @ Bq)
+    rhs = np.trace(Bh @ _power(A, p) @ Bh)
     return mixed.real, rhs.real
 
 
