@@ -34,24 +34,28 @@ evaluate over c as a ``fractions.Fraction``, which is the double c exactly
 table).  Both limit signs of a power sum, at t -> 0+ and t -> 1-, are read
 from its exact rows (``_limit_signs``).
 
-A power sum's double value S comes with a forward error bound B
-(``_enclosure``): exact coefficient and exponent errors, an assumed 4-ulp
-bound on numpy's float64 power (``_POW_ERR``) and the running error of the
-summation.  f', g and h take their signs from two such sums
+A power sum's double value S, its chain value, comes with a forward error
+bound B (``_enclosure``): exact coefficient and exponent errors, an assumed
+4-ulp bound on numpy's float64 power (``_POW_ERR``) and the error of the
+summation, held as two constants per row (``_term_errors``,
+``_bounded_sum``).  f', g and h take their signs from two such sums
 (``_fraction_enclosures``): M = (F - 1)(t^c - t), a table, and
 N = g (t^c - t) = A (1 - t^(1-c)) - M with A = ((1+t)/2)^(2c), whose bound
-adds A's error.  In the edge guard bands a sample or probe keeps its double
-sign only where the sum it needs clears its bound (``_certified_signs``).
+adds A's error.  One rule decides every sign the scan keeps in doubles: a
+grid sample or bisection probe keeps its double sign only where the sum it
+needs is finite and clears its bound (``_certified_signs``).  Every other
+sample and probe goes to 50 digits, f's all of them: f has no bound.
 
 A 50-digit power is an exp and a log, so each is taken once: a samples
 object takes t^c, X, X^c, F and each monomial t^i (t^c)^j once, on first use,
 building the monomials from t^c by multiplication (an integer exponent stays
-one t ** b).  The functions of one c mostly escalate the same samples, the
-edge guard bands', so within one ``audit_chain`` call they share one samples
+one t ** b).  The functions of one c often escalate the same samples (f' and
+g always do), so within one ``audit_chain`` call they share one samples
 object until a function escalates another set; each value is the same mpf a
 lone function would take, and nothing is kept once the call returns.
 Doubles keep one numpy power t ** b per term; the scans of one
-``audit_chain`` share one double grid and its t^c, X, X^c and F (``_grid``).
+``audit_chain`` share one double grid, with its |log t|, M and N, and F for
+the fraction check (``_grid``).
 """
 from __future__ import annotations
 
@@ -80,36 +84,30 @@ from .measure import _check_exponent, check_p_value
 from .precision import FLOAT, MP, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
-# Samples this close to either end of (0, 1) get their sign confirmed at high
-# precision: several chain functions vanish to second or third order at t = 1,
-# where double-precision evaluation is roundoff-dominated.
-_EDGE_GUARD = 1e-3
 # Crossings that fall below the truncated domain are refined down to here.
 _LEFT_FLOOR = 1e-18
-_ZERO_REL = 1e-13
 _BRACKET_WIDTH = 1e-10
 # From here on p = 1/c is within 1e-9 of 0, which the exponent rule rejects
 # too; the audit raises NumericRange first: t^c underflows or overflows on the
 # whole double grid, so every sample would go to 50 digits.
 _C_MAX = 1e9
 # Below this |c| (p = 1/c beyond 1e5) the audit raises NumericRange: t^c is
-# within |c log t| of 1, and near t = 1 f', g and h (and v) cancel to roundoff
-# that the ambiguity test misses.  A scan of 81 log-spaced |c| per sign in
-# [1e-8, 1e-4] at 1,000, 10,000 and 100,000 points found mismatched patterns
-# up to |c| = 2.24e-6 and none from 2.51e-6 on; at 50 digits f', g, h and v
-# keep one sign on [0.99, 1) at c = +-1e-8, 1e-7 and -2.24e-6.
+# within |c log t| of 1, and near t = 1 f', g and h (and v) cancel to
+# roundoff.  When a 1e-13 local-scale test still decided which double signs
+# were kept, a scan of 81 log-spaced |c| per sign in [1e-8, 1e-4] at 1,000,
+# 10,000 and 100,000 points found mismatched patterns up to |c| = 2.24e-6
+# and none from 2.51e-6 on; at 50 digits f', g, h and v keep one sign on
+# [0.99, 1) at c = +-1e-8, 1e-7 and -2.24e-6.  Now that every kept double
+# sign clears its error bound, the audit matches at +-1e-8 and +-1e-7 too;
+# the limit stays until that scan is re-run.
 _C_MIN = 1e-5
 # The assumed bound on the relative error of numpy's float64 power, 4 ulp:
 # the documented bound of the AVX-512 SVML pow numpy runs on arrays where the
 # CPU has it (glibc's pow is within 1 ulp).  Measured at most 0.56 * 2^-52
-# on 40,000 (t, b) pairs against mpmath, on an AVX-512 Xeon.  The double
-# edge-band signs of the power sums rest on it (``_enclosure``).
+# on 40,000 (t, b) pairs against mpmath, on an AVX-512 Xeon.  Every double
+# sign the audit keeps rests on it (``_bounded_sum``).
 _POW_ERR = 2.0 ** -50
 _U = 2.0 ** -53  # the unit roundoff of doubles
-# A power sum's interior samples below this get their sign from its error
-# bound too: at c = 1e4 v_tprime has samples of about 1e-306 that pass the
-# local-scale test with the wrong sign.
-_NEAR_UNDERFLOW = 2.0 ** -900
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +357,17 @@ class _Samples:
         """F = (1-c)(t^c+1)(1-t)/(t^c-t), the always-greater-than-1 second factor."""
         return (self.tc + 1.0) * (1.0 - self.c) * (1.0 - self.t) / (self.tc - self.t)
 
+    @functools.cached_property
+    def abs_log_t(self):
+        """|log t| on double samples, which the error bounds scale by."""
+        return np.abs(np.log(self.t))
+
+    @functools.cached_property
+    def fraction_sums(self):
+        """(M, B_M) and (N, B_N) on double samples (``_fraction_enclosures``),
+        formed once for f', g and h."""
+        return _fraction_enclosures(self)
+
     def monomial(self, b, i, j):
         """t^b for b = i + j c.  Doubles take one numpy power.  At 50 digits a
         power is an exp and a log, so t^b is t^i (t^c)^j, built by
@@ -502,112 +511,121 @@ def _exact_table(name: str, c: float) -> tuple:
 
 @functools.lru_cache(maxsize=256)
 def _term_errors(name: str, c: float) -> tuple:
-    """What the double terms of ``name`` at c carry into ``_bounded_sum``:
-    per term |fl(a) - a|, |fl(a)| + |fl(a) - a| and |fl(b) - b|, from the
-    exact rows.  The two tables list the same rows: ``_d`` drops a row where
-    b = 0, and for the j in {0, 1, 2} of the rows it differentiates j c is
-    exact, so fl(i + j c) is 0 exactly where i + j c is."""
+    """What the double terms of ``name`` at c carry into ``_bounded_sum``,
+    per row from the exact rows: k0 = |fl(a) - a| + a_hi (eps_pow + u),
+    a_hi = |fl(a)| + |fl(a) - a| and k1 = a_hi |fl(b) - b| (eps_pow =
+    ``_POW_ERR``).  The two tables list the same rows: ``_d`` drops a row
+    where b = 0, and for the j in {0, 1, 2} of the rows it differentiates
+    j c is exact, so fl(i + j c) is 0 exactly where i + j c is."""
     from fractions import Fraction
 
     per_term = []
     for (a, b, _, _), (a_x, b_x, _, _) in zip(_table(name, FLOAT, c), _exact_table(name, c)):
         da = float(abs(Fraction(float(a)) - a_x))
-        per_term.append((da, abs(float(a)) + da, float(abs(Fraction(float(b)) - b_x))))
+        a_hi = abs(float(a)) + da
+        db = float(abs(Fraction(float(b)) - b_x))
+        per_term.append((da + a_hi * (_POW_ERR + _U), a_hi, a_hi * db))
     return tuple(per_term)
 
 
-def _rows(name: str, c: float, t: np.ndarray, log_t: np.ndarray) -> list:
-    """The double terms of ``name`` on t as ``_bounded_sum`` takes them: per
-    row fl(t^fl(b)), fl(a), |fl(a) - a|, |fl(a)| + |fl(a) - a| and the
-    power's relative error eps_pow + |fl(b) - b| |log t| (eps_pow =
-    ``_POW_ERR``; |log t| is ``log_t``)."""
-    return [
-        (t ** b, a, da, a_hi, _POW_ERR + db * log_t)
-        for (a, b, _, _), (da, a_hi, db) in zip(_table(name, FLOAT, c), _term_errors(name, c))
-    ]
+def _rows(name: str, s: _Samples) -> list:
+    """The double terms of ``name`` on the samples as ``_bounded_sum`` takes
+    them: per row fl(t^fl(b)), fl(a) and the row's k0, a_hi and k1
+    (``_term_errors``)."""
+    terms = zip(_table(name, FLOAT, s.c), _term_errors(name, float(s.c)))
+    return [(s.t ** b, a, *errors) for (a, b, _, _), errors in terms]
 
 
-def _bounded_sum(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """The sum S of fl(m fl(a)) over the rows (m, fl(a), |fl(a) - a|,
-    |fl(a)| + |fl(a) - a|, rel), left to right, where m is a computed
-    monomial within rel of its exact value; and a bound B on |S - the exact
-    sum| (inf where none is given).
+def _bounded_sum(rows: list, abs_log_t) -> tuple[np.ndarray, np.ndarray]:
+    """The sum S of fl(m fl(a)) over the rows (m, fl(a), k0, a_hi, k1), left
+    to right, where m is a computed monomial within eps_pow of
+    t^fl(b); and a bound B on |S - the exact sum|.
 
-    Row k errs by |fl(a) - a| m plus |a m| (rel + u), the product's u; the
-    sum adds gamma_(n-1) times the sum of |terms| (Higham, Accuracy and
-    Stability of Numerical Algorithms, sections 3-4).  A power or product
-    that falls below the normal range errs by up to 4 of its ulps 2^-1074
-    absolutely, not relatively; 2^-1068 (1 + |a|) per row covers it.  The
-    factor 2 covers the second-order terms and the rounding of B itself
-    while the first-order relative part stays below 2^-20; beyond that B is
-    inf.
+    Row k errs by |fl(a) - a| m plus |a m| (eps_pow + |fl(b) - b| |log t|
+    + u), the power's error, its exponent's and the product's u; that is
+    m k0 + |log t| m k1.  The sum of n terms adds gamma_(n-1) times the sum
+    of |terms| (Higham, Accuracy and Stability of Numerical Algorithms,
+    sections 3-4), and each |term| is at most (1 + u) m a_hi, so
+    B = 2 (sum of m (k0 + a_hi gamma_(n-1) (1 + u)) + |log t| sum of m k1
+    + tiny), with n the rows of the sum as formed, not of any table it is
+    made from.  A power or product that falls below the normal range errs
+    by up to 4 of its ulps 2^-1074 absolutely, not relatively;
+    tiny = 2^-1068 (1 + a_hi) per row covers it.  The factor 2 covers the
+    second-order terms and the rounding of B itself: for |c| < 1e9, the
+    audit's c rule, the first-order relative part of a row stays below
+    2^-10 at every positive double t.  B is inf or NaN where some m is not
+    finite, and S is then not finite or not decided.
     """
-    total = mags = bound = worst = tiny = 0.0
-    for m, a, da, a_hi, rel in rows:
-        term = m * a
-        total = total + term
-        mags = mags + np.abs(term)
-        bound = bound + m * (da + a_hi * (rel + _U))
-        worst = np.maximum(worst, rel)
-        tiny += 2.0 ** -1068 * (1.0 + a_hi)
     n = len(rows) - 1
-    bound = 2.0 * (bound + n * _U / (1.0 - n * _U) * mags + tiny)
-    return total, np.where(worst + _U > 2.0 ** -20, np.inf, bound)
+    gamma = n * _U / (1.0 - n * _U) * (1.0 + _U)
+    total = bound = slope = tiny = 0.0
+    for m, a, k0, a_hi, k1 in rows:
+        total = total + m * a
+        bound = bound + m * (k0 + a_hi * gamma)
+        if k1:
+            slope = slope + m * k1
+        tiny += 2.0 ** -1068 * (1.0 + a_hi)
+    return total, 2.0 * (bound + abs_log_t * slope + tiny)
 
 
-def _enclosure(name: str, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The double power sum S of ``name`` on the samples t, term by term as
-    ``_power_sum`` forms it, fl(fl(t^fl(b)) fl(a)), and its bound B
-    (``_bounded_sum``)."""
-    with np.errstate(all="ignore"):
-        return _bounded_sum(_rows(name, c, t, np.abs(np.log(t))))
+def _enclosure(name: str, s: _Samples) -> tuple[np.ndarray, np.ndarray]:
+    """The double power sum S of ``name`` on the double samples, term by
+    term as ``_power_sum`` forms it, fl(fl(t^fl(b)) fl(a)), so S is the
+    chain value; and its bound B (``_bounded_sum``)."""
+    return _bounded_sum(_rows(name, s), s.abs_log_t)
 
 
-def _fraction_enclosures(c: float, t: np.ndarray) -> tuple[tuple, tuple]:
-    """(M, B_M) and (N, B_N) on the double samples t: M = (F - 1)(t^c - t)
+def _fraction_enclosures(s: _Samples) -> tuple[tuple, tuple]:
+    """(M, B_M) and (N, B_N) on the double samples: M = (F - 1)(t^c - t)
     and N = g (t^c - t) = A (1 - t^(1-c)) - M, A = ((1+t)/2)^(2c), each
-    with its bound (``_bounded_sum``).
+    with its bound (``_bounded_sum``).  N is one sum of 6 rows.
 
     A is fl(fl(fl(1 + t)/2)^(2c)): halving and 2c are exact, and the
     rounding of 1 + t, by at most u relative, moves A by about |2c| u on top
     of eps_pow.  A row of 1 - t^(1-c) times A adds that and the product's u
-    to its power's error.  B_N is inf where A or t^(1-c) falls below the
-    normal range, whose absolute errors A or t^(1-c) would magnify.
+    to its k0.  B_N is inf where A or t^(1-c) falls below the normal range,
+    whose absolute errors A or t^(1-c) would magnify.
     """
-    with np.errstate(all="ignore"):
-        log_t = np.abs(np.log(t))
-        gap = _rows("fraction_gap", c, t, log_t)
-        a = (0.5 * (1.0 + t)) ** (2.0 * c)
-        a_err = abs(2.0 * c) * _U + _POW_ERR + _U
-        weight = _rows("fraction_weight", c, t, log_t)
-        power = weight[1][0]  # t^(1-c)
-        n_total, n_bound = _bounded_sum(
-            [(a * m, w, dw, w_hi, rel + a_err) for m, w, dw, w_hi, rel in weight]
-            + [(m, -g, dg, g_hi, rel) for m, g, dg, g_hi, rel in gap]
-        )
-        n_bound = np.where(np.minimum(a, power) < 2.0 ** -1022, np.inf, n_bound)
-        return _bounded_sum(gap), (n_total, n_bound)
+    c, t = float(s.c), s.t
+    gap = _rows("fraction_gap", s)
+    a = (0.5 * (1.0 + t)) ** (2.0 * c)
+    a_err = abs(2.0 * c) * _U + _POW_ERR + _U
+    weight = _rows("fraction_weight", s)
+    power = weight[1][0]  # t^(1-c)
+    n_total, n_bound = _bounded_sum(
+        [(a * m, w, k0 + w_hi * a_err, w_hi, k1) for m, w, k0, w_hi, k1 in weight]
+        + [(m, -g, k0, g_hi, k1) for m, g, k0, g_hi, k1 in gap],
+        s.abs_log_t,
+    )
+    n_bound = np.where(np.minimum(a, power) < 2.0 ** -1022, np.inf, n_bound)
+    return _bounded_sum(gap, s.abs_log_t), (n_total, n_bound)
 
 
-def _decided(total: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """The sign of a double sum where |S| > B, else 0."""
-    return np.where(np.abs(total) > bound, np.sign(total), 0.0).astype(int)
+def _decided(total, bound):
+    """The sign of a double sum S where S is finite and |S| > B, else 0: an
+    S that is not finite decides nothing, whatever B is."""
+    if np.ndim(total) == 0:
+        total = float(total)
+        return _sign_of(total) if bound < abs(total) < math.inf else 0
+    sure = (np.abs(total) > bound) & np.isfinite(total)
+    return np.where(sure, np.sign(total), 0.0).astype(int)
 
 
-def _certified_signs(name: str, c: float, t: np.ndarray) -> np.ndarray:
-    """The sign of ``name`` on the double samples t where a double error
-    bound decides it, else 0.  A power sum has the sign of its double sum S
-    where |S| > B (``_enclosure``).  On (0, 1) t^c - t has the sign of 1 - c
-    and F > 0, so f' has the sign of -N and g that of (1 - c) N, and where
-    (1 - c) M > 0, that is F > 1, h has g's sign (``_fraction_enclosures``).
-    No bound is given for f, so its signs are all 0.
+def _certified_signs(name: str, s: _Samples):
+    """The sign of ``name`` on the double samples where a double error bound
+    decides it, else 0.  A power sum has the sign of its double sum S where
+    ``_decided`` keeps it (``_enclosure``).  On (0, 1) t^c - t has the sign
+    of 1 - c and F > 0, so f' has the sign of -N and g that of (1 - c) N,
+    and where (1 - c) M > 0, that is F > 1, h has g's sign
+    (``_Samples.fraction_sums``).  No bound is given for f, so its signs are
+    all 0.  The caller sets numpy's error state (``_scan``).
     """
     if name in _TABLES:
-        return _decided(*_enclosure(name, c, t))
+        return _decided(*_enclosure(name, s))
     if name == "f":
-        return np.zeros(t.shape, dtype=int)
-    m, n = (_decided(*pair) for pair in _fraction_enclosures(c, t))
-    side = _sign_of(1.0 - c)
+        return np.zeros(np.shape(s.t), dtype=int)
+    m, n = (_decided(*pair) for pair in s.fraction_sums)
+    side = _sign_of(1.0 - float(s.c))
     if name == "f_prime":
         return -n
     if name == "g":
@@ -737,8 +755,8 @@ def _mp_chain(name: str, c: float, t: np.ndarray, kept: dict | None = None) -> n
     ``kept`` holds one ``_Samples`` by (c, the samples' bytes): a function
     called on the same c and samples reuses its t^c, monomials, X, X^c and F,
     and other samples replace it.  ``audit_chain`` passes one such dict to
-    the scans of its c, whose functions mostly escalate the same samples,
-    those of the edge guard bands; any other call shares nothing.  Each
+    the scans of its c, whose functions often escalate the same samples (f'
+    and g always do); any other call shares nothing.  Each
     value is the same mpf as when taken anew.
 
     An mpf left of an object array first fails to convert it, and the failure
@@ -801,38 +819,17 @@ def _classify(
     return SignChangePattern(crossings=tuple(crossings), overall=overall)
 
 
-def _local_scale(mags: np.ndarray) -> np.ndarray:
-    """The max of ``mags`` over each sample's 5-sample window, edge-padded."""
-    padded, n = np.pad(mags, 2, mode="edge"), mags.size
-    scale = np.maximum(padded[:n], padded[1 : n + 1])
-    for k in range(2, 5):
-        np.maximum(scale, padded[k : k + n], out=scale)
-    return scale
-
-
-def _ambiguous(vals: np.ndarray) -> np.ndarray:
-    """The grid samples whose double sign the scan does not trust: the ones
-    that are not finite, or whose magnitude is at most 1e-13 of the local
-    5-sample scale."""
-    absvals, finite = np.abs(vals), np.isfinite(vals)
-    # a non-finite double has no trustworthy sign: where one term of an
-    # opposite-sign sum overflows first, v is -inf and its 50-digit value > 0
-    return ~finite | (absvals <= _ZERO_REL * _local_scale(np.where(finite, absvals, 0.0)))
-
-
 def sign_changes(name: str, c: float, grid_size: int) -> SignChangePattern:
     """Locate the sign crossings of a chain function on (0, 1).
 
     A uniform grid on (delta, 1-delta), delta = ``DEFAULT_DELTA`` = 1e-6, is
-    scanned in double precision.  Samples that are not finite, or whose
-    magnitude falls under 1e-13 of the local 5-sample scale, go to 50 digits
-    before a sign is accepted.  In the edge guard bands, t <= 1e-3 and
-    t >= 1 - 1e-3, a grid sample or bisection probe keeps its double sign
-    only where an error bound decides it (``_certified_signs``), and goes to
-    50 digits otherwise: a power sum (a name of ``_TABLES``) where |S| > B
-    for its double sum S and bound B (``_enclosure``), f', g and h where N,
-    and for h also M, decide it.  A power sum's interior samples below
-    2^-900 also keep their double sign only where |S| > B.  ``escalated``
+    scanned in double precision.  A grid sample or bisection probe keeps its
+    double sign only where an error bound decides it (``_certified_signs``),
+    and goes to 50 digits otherwise: a power sum (a name of ``_TABLES``)
+    where its double sum S is finite and |S| > B for its bound B
+    (``_enclosure``), f', g and h where N, and for h also M, decide it.  An
+    S that is not finite decides nothing, and f, which has no bound, goes
+    to 50 digits on every sample and probe.  ``escalated``
     counts the samples and probes taken at 50 digits.  The known t -> 0+
     and t -> 1- limit signs are added at either end, those of a power sum
     both read from its exact rows (``_limit_signs``), so crossings in the
@@ -873,51 +870,33 @@ def _scan(name: str, grid: _Samples, kept: dict) -> SignChangePattern:
     escalating through ``kept`` (see ``_mp_chain``)."""
     c, t = float(grid.c), grid.t
     with np.errstate(all="ignore"):
-        vals = np.asarray(_CHAIN_FLOAT[name](grid), dtype=float)
+        signs = _certified_signs(name, grid)
+        needs_mp = signs == 0
+        mp_vals = _mp_chain(name, c, t[needs_mp], kept)
+        signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
 
-    signs = np.where(vals > 0.0, 1, np.where(vals < 0.0, -1, 0)).astype(int)
-    needs_mp = _ambiguous(vals)
-    check = (t <= _EDGE_GUARD) | (t >= 1.0 - _EDGE_GUARD)
-    if name in _TABLES:
-        # near underflow the terms of a power sum lose their relative
-        # precision, which the local-scale test does not see when the
-        # neighbouring samples are as small
-        check |= ~needs_mp & (np.abs(vals) < _NEAR_UNDERFLOW)
-    # keep the samples whose double sign an error bound decides
-    sure = _certified_signs(name, c, t[check])
-    signs[check] = sure
-    check[check] = sure == 0
-    needs_mp |= check
-    mp_vals = _mp_chain(name, c, t[needs_mp], kept)
-    signs[needs_mp] = (mp_vals > 0).astype(int) - (mp_vals < 0).astype(int)
+        # adjacent unresolved samples defeat classification
+        zero = signs == 0
+        if np.any(zero[:-1] & zero[1:]):
+            raise TooCoarse("adjacent sign-ambiguous samples; refine the grid")
 
-    # adjacent unresolved samples defeat classification
-    zero = signs == 0
-    if np.any(zero[:-1] & zero[1:]):
-        raise TooCoarse("adjacent sign-ambiguous samples; refine the grid")
+        # the limit signs at t = 0 and t = 1 frame the samples; an unknown one
+        # is 0, which classification skips
+        seq_t = np.concatenate(([0.0], t, [1.0]))
+        s0, s1 = _limit_signs(name, c)
+        seq_s = np.concatenate(([s0], signs, [s1]))
 
-    # the limit signs at t = 0 and t = 1 frame the samples; an unknown one is 0,
-    # which classification skips
-    seq_t = np.concatenate(([0.0], t, [1.0]))
-    s0, s1 = _limit_signs(name, c)
-    seq_s = np.concatenate(([s0], signs, [s1]))
+        probes = 0
 
-    probes = 0
-
-    def _sign_at(x: float) -> int:
-        nonlocal probes
-        with np.errstate(all="ignore"):
-            v = float(_CHAIN_FLOAT[name](_Samples(FLOAT, c, x)))
-        if math.isfinite(v) and abs(v) > 1e-12 * (1.0 + abs(v)):
-            if _EDGE_GUARD < x < 1.0 - _EDGE_GUARD:  # outside the edge bands
-                return _sign_of(v)
-            sure = int(_certified_signs(name, c, np.float64(x)))
+        def _sign_at(x: float) -> int:
+            nonlocal probes
+            sure = int(_certified_signs(name, _Samples(FLOAT, c, x)))
             if sure:
                 return sure
-        probes += 1
-        return _sign_of(_mp_chain(name, c, np.array([x]))[0])
+            probes += 1
+            return _sign_of(_mp_chain(name, c, np.array([x]))[0])
 
-    pattern = _classify(seq_t, seq_s, _sign_at)
+        pattern = _classify(seq_t, seq_s, _sign_at)
     return replace(pattern, escalated=int(needs_mp.sum()) + probes)
 
 
