@@ -4,7 +4,9 @@ Two layers are covered.  First, the reparametrized coupling function: with
 b(a) = a^p + (1-a)^p and h(a) = (a(1-a))^(p/2), the map b -> H(b) = h(a(b)) is
 strictly convex for p > 2 and strictly concave for p < 2 (p not 0 or 1).  Its
 derivatives have closed forms under the substitution e^(2x) = a/(1-a), which
-``hyperbolic_point`` evaluates.
+``hyperbolic_point`` evaluates, and ``jensen_audit`` checks the averaging
+step this convexity gives the proof on a probability space.  Of the CLI
+commands only ``audit`` loads this module, when it runs.
 
 Second, the scalar chain behind the constant-ratio inequality: after the
 substitution t = ((1-alpha)/alpha)^p, c = 1/p, a ladder of auxiliary functions
@@ -73,14 +75,22 @@ from .errors import (
     EndpointWithNegativeP,
     ExponentOutOfRange,
     NameRequiresC,
+    NotProbabilitySpace,
     NumericRange,
     OutOfDomain,
+    OutOfRangeAlpha,
     SingularPoint,
     TargetOutOfRange,
     TooCoarse,
     ZeroExponent,
 )
-from .measure import _check_exponent, check_p_value
+from .measure import (
+    MeasureSpace,
+    SimpleFunction,
+    _check_aligned,
+    _check_exponent,
+    check_p_value,
+)
 from .precision import FLOAT, MP, backend, mp_workdps, require_finite
 
 DEFAULT_DELTA = 1e-6
@@ -111,7 +121,7 @@ _U = 2.0 ** -53  # the unit roundoff of doubles
 
 
 # ---------------------------------------------------------------------------
-# coupling function b, h and the hyperbolic parametrization
+# coupling function b, h, the hyperbolic parametrization and the averaging step
 # ---------------------------------------------------------------------------
 
 
@@ -280,6 +290,65 @@ def curvature(x: float, p: float) -> float:
     point = hyperbolic_point(x, p)
     assert point.d2H_db2 is not None
     return point.d2H_db2
+
+
+class JensenDirection(enum.Enum):
+    MEAN_AT_LEAST = "mean_at_least"
+    MEAN_AT_MOST = "mean_at_most"
+    EQUALITY = "equality"
+
+
+@dataclass(frozen=True)
+class JensenReport:
+    B: float
+    mean_H: float
+    H_of_B: float
+    direction_expected: JensenDirection
+    satisfied: bool
+
+
+def jensen_audit(
+    alpha: SimpleFunction, prob_space: MeasureSpace, p: float
+) -> JensenReport:
+    """Check the averaging step that reduces the inequality to constant ratios.
+
+    With b(a) = a^p + (1-a)^p and H the coupling value expressed as a function
+    of b, the mean of H(b(alpha)) over a probability space lies above H of the
+    mean for p > 2 (H convex) and below it for p < 2 (H concave).
+    """
+    p = _check_exponent(p)
+    if p in (1.0, 2.0):
+        raise ExponentOutOfRange("the averaging audit needs p outside {1, 2}")
+    _check_aligned(alpha, prob_space)
+    w = prob_space.weights
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise NotProbabilitySpace("weights must sum to 1 within 1e-12")
+    a = alpha.values
+    if np.any(a < 0.0) or np.any(a > 1.0):
+        raise OutOfRangeAlpha("alpha must lie in [0, 1] pointwise")
+    if p < 0.0 and (np.any(a == 0.0) or np.any(a == 1.0)):
+        raise OutOfRangeAlpha("p < 0 requires alpha strictly inside (0, 1)")
+
+    mean_H = float(np.sum(w * (a * (1.0 - a)) ** (p / 2.0)))
+    B = float(np.sum(w * (a ** p + (1.0 - a) ** p)))
+    a_star = invert_b(B, p)
+    H_of_B = h_of_a(a_star, p)
+
+    direction = (
+        JensenDirection.MEAN_AT_LEAST if p > 2.0 else JensenDirection.MEAN_AT_MOST
+    )
+    tol = 1e-10 * max(1.0, abs(mean_H), abs(H_of_B))
+    if direction is JensenDirection.MEAN_AT_LEAST:
+        satisfied = mean_H >= H_of_B - tol
+    else:
+        satisfied = mean_H <= H_of_B + tol
+    return JensenReport(
+        B=B,
+        mean_H=mean_H,
+        H_of_B=H_of_B,
+        direction_expected=direction,
+        satisfied=bool(satisfied),
+    )
 
 
 # ---------------------------------------------------------------------------

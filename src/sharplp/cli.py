@@ -21,15 +21,17 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import campaigns
-from .audit import ChainReport, audit_chain
 from .errors import SharpLpError
 from .measure import forward_region
 from .precision import active_mode
+
+if TYPE_CHECKING:
+    from .audit import ChainReport
 
 # c values swept by default in `audit`; they cover every claim range of the
 # derivative chain on both sides of the special points 0, 1/2, 1.
@@ -128,12 +130,16 @@ def parse_config(argv: Sequence[str] | None = None) -> CommandConfig:
 
 @contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
-    """stdout, or the --out file (no newline translation)."""
+    """stdout, or the --out file (no newline translation); a file that cannot
+    be opened, written or closed is a usage error."""
     if out_path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -173,6 +179,9 @@ def _chain_report_to_dict(report: ChainReport) -> dict[str, Any]:
 # with n_p
 _BLOCK_CELLS = 6_400
 _VELTKAMP = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+# the ASCII tens and units digits of 0..99
+_TENS = np.repeat(np.arange(48, 58, dtype=np.uint8), 10)
+_UNITS = np.tile(np.arange(48, 58, dtype=np.uint8), 10)
 
 
 def _ascii_rows(texts: list[str]) -> np.ndarray:
@@ -210,13 +219,22 @@ def _g17(x: np.ndarray) -> np.ndarray:
     lo = ((vh * sh - hi) + vh * sl + vl * sh) + vl * sl
     n = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)) * np.where(big, 10, 1)
     digits = np.empty((19, x.size), np.uint8)
-    seen = np.zeros(x.size, bool)  # a nonzero digit at or right of this one
-    for k in range(18, 1, -1):
-        n, r = np.divmod(n, 10)
-        seen |= r != 0
-        digits[k] = np.where(seen, r + 48, 0)
-    digits[1] = np.where(seen, ord("."), 0)
-    digits[0] = n + 48
+    # two digits per step, into rows k - 1 and k; r is in 0..99, and a
+    # clipping take writes into its out row unbuffered
+    for k in range(18, 3, -2):
+        q = n // 100
+        r = n - 100 * q
+        _TENS.take(r, out=digits[k - 1], mode="clip")
+        _UNITS.take(r, out=digits[k], mode="clip")
+        n = q
+    _TENS.take(n, out=digits[0], mode="clip")
+    _UNITS.take(n, out=digits[2], mode="clip")
+    fraction = digits[2:]
+    # a zero digit with only zeros to its right is dropped, and so is the
+    # "." of a field whose fraction digits are all zero
+    trailing = np.logical_and.accumulate(fraction[::-1] == 48, axis=0)[::-1]
+    fraction[trailing] = 0
+    digits[1] = np.where(trailing[0], 0, ord("."))
     out = digits.T
     slow = np.flatnonzero(~fast)
     if slow.size:
@@ -302,6 +320,8 @@ def _run_verify(config: CommandConfig) -> int:
 
 
 def _run_audit(config: CommandConfig) -> int:
+    from .audit import audit_chain  # the only command that loads the audit
+
     o = config.options
     cs = DEFAULT_C_GRID if o["c_grid"] is None else _parse_float_list(o["c_grid"])
     reports = [audit_chain(c, o["points"]) for c in cs]

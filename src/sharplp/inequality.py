@@ -1,4 +1,4 @@
-"""Both sides of the sharpened two-function inequality and its audits.
+"""Both sides of the sharpened two-function inequality and its equality cases.
 
 For f, g >= 0 on a finite discrete measure space the sharpened bound reads
 
@@ -12,6 +12,7 @@ gamma = ||fg||_{p/2} / (||f||_p ||g||_p) and is dominated for p >= 2.
 
 ``main_sides_batch`` evaluates both sides for a whole stack of instances in
 one array pass; ``main_sides`` and ``gamma_pair`` are that kernel on one row.
+The averaging step of the proof, ``jensen_audit``, is checked in ``audit``.
 """
 from __future__ import annotations
 
@@ -21,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import h_of_a, invert_b
 from .errors import (
-    ExponentOutOfRange,
     MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
-    NotProbabilitySpace,
-    OutOfRangeAlpha,
     ZeroNorm,
     ZeroSumPoint,
 )
@@ -56,12 +53,6 @@ class EqualityKind(enum.Enum):
     NONE = "none"
 
 
-class JensenDirection(enum.Enum):
-    MEAN_AT_LEAST = "mean_at_least"
-    MEAN_AT_MOST = "mean_at_most"
-    EQUALITY = "equality"
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     lhs: float
@@ -78,15 +69,6 @@ class InequalityReport:
 class EqualityCase:
     kind: EqualityKind
     constant: float | None
-
-
-@dataclass(frozen=True)
-class JensenReport:
-    B: float
-    mean_H: float
-    H_of_B: float
-    direction_expected: JensenDirection
-    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -251,47 +233,3 @@ def detect_equality_case(
             kind=EqualityKind.MAX_RATIO_CONSTANT, constant=float(m.mean())
         )
     return EqualityCase(kind=EqualityKind.NONE, constant=None)
-
-
-def jensen_audit(
-    alpha: SimpleFunction, prob_space: MeasureSpace, p: float
-) -> JensenReport:
-    """Check the averaging step that reduces the inequality to constant ratios.
-
-    With b(a) = a^p + (1-a)^p and H the coupling value expressed as a function
-    of b, the mean of H(b(alpha)) over a probability space lies above H of the
-    mean for p > 2 (H convex) and below it for p < 2 (H concave).
-    """
-    p = _check_exponent(p)
-    if p in (1.0, 2.0):
-        raise ExponentOutOfRange("the averaging audit needs p outside {1, 2}")
-    _check_aligned(alpha, prob_space)
-    w = prob_space.weights
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise NotProbabilitySpace("weights must sum to 1 within 1e-12")
-    a = alpha.values
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise OutOfRangeAlpha("alpha must lie in [0, 1] pointwise")
-    if p < 0.0 and (np.any(a == 0.0) or np.any(a == 1.0)):
-        raise OutOfRangeAlpha("p < 0 requires alpha strictly inside (0, 1)")
-
-    mean_H = float(np.sum(w * (a * (1.0 - a)) ** (p / 2.0)))
-    B = float(np.sum(w * (a ** p + (1.0 - a) ** p)))
-    a_star = invert_b(B, p)
-    H_of_B = h_of_a(a_star, p)
-
-    direction = (
-        JensenDirection.MEAN_AT_LEAST if p > 2.0 else JensenDirection.MEAN_AT_MOST
-    )
-    tol = 1e-10 * max(1.0, abs(mean_H), abs(H_of_B))
-    if direction is JensenDirection.MEAN_AT_LEAST:
-        satisfied = mean_H >= H_of_B - tol
-    else:
-        satisfied = mean_H <= H_of_B + tol
-    return JensenReport(
-        B=B,
-        mean_H=mean_H,
-        H_of_B=H_of_B,
-        direction_expected=direction,
-        satisfied=bool(satisfied),
-    )

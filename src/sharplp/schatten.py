@@ -15,7 +15,9 @@ The ``*_stack`` functions evaluate stacks of pairs, shape (n, d, d), in the
 eigenbases: with A's eigenvalues a, B's b and W_ij = |<u_i, v_j>|^2 for their
 eigenvectors, the mixed trace is sum_ij a_i^(p/2) W_ij b_j^(p/2) by cyclicity.
 Every p-independent eigensolve runs once per stack pair; ``PSDMatrix`` is a
-``PSDStack`` of one, and the scalar functions wrap the stack kernels.
+``PSDStack`` of one, and the scalar functions wrap the stack kernels.  The
+operator doubling step that proves the p = 2^k cases, ``schatten_doubling``,
+is checked in ``doubling``.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .doubling import DoublingLink, check_link, psi_link
 from .errors import (
     BadShape,
     DimOutOfRange,
@@ -151,21 +152,6 @@ class SchattenReport:
     satisfied: bool
     slack: float
     conjectural: bool
-
-
-@dataclass(frozen=True)
-class SchattenDoublingReport:
-    p: float
-    gamma: float
-    beta: float
-    lhs_2p: float
-    final_bound: float
-    final_bound_power_p: float
-    links: tuple[DoublingLink, ...]
-
-    @property
-    def all_links_hold(self) -> bool:
-        return all(link.satisfied for link in self.links)
 
 
 @dataclass(frozen=True)
@@ -426,58 +412,3 @@ def lieb_thirring_check(A: PSDMatrix, B: PSDMatrix, p: float) -> tuple[float, fl
     """
     lhs, rhs = lieb_thirring_stack(A.stack, B.stack, p)
     return float(lhs[0]), float(rhs[0])
-
-
-def schatten_doubling(A: PSDMatrix, B: PSDMatrix, p: float) -> SchattenDoublingReport:
-    """Verify every link of the operator doubling step at exponent p = 2^k.
-
-    Inputs are rescaled so the 2p-th Schatten power sums average to 1; then
-    the chain runs through the triangle inequality for X = (AB+BA)/2 and
-    Y = A^2+B^2, the symmetrized product bound, the trace rearrangement, the
-    p-level bound on (A^2, B^2), and the scalar doubling lemma.
-    """
-    p = float(p)
-    if not _is_power_of_two_exponent(p):
-        raise UnsupportedExponent("doubling is established only for p = 2^k")
-    _SpectralPair(A.stack, B.stack)  # raises BadShape unless the shapes match
-    s = _p_norm(np.concatenate((A.eigenvalues(), B.eigenvalues())), 2.0 * p)
-    s *= 0.5 ** (1.0 / (2.0 * p))
-    if s == 0.0:
-        raise NotPSD("A and B cannot both be zero")
-    An = PSDMatrix(np.asarray(A.entries) / s)
-    Bn = PSDMatrix(np.asarray(B.entries) / s)
-
-    Am, Bm = np.asarray(An.entries), np.asarray(Bn.entries)
-    X = (Am @ Bm + Bm @ Am) / 2.0
-    Y = Am @ Am + Bm @ Bm
-    lhs_2p = schatten_norm(PSDMatrix((Am + Bm) @ (Am + Bm)), p)  # ||A+B||_{2p}^2
-    norm_X = _p_norm(np.linalg.eigvalsh((X + X.conj().T) / 2.0), p)
-    norm_Y = schatten_norm(PSDMatrix(Y), p)
-    # singular values of AB and BA coincide, so the symmetrization bound reads
-    # ||X||_p <= ||AB||_p
-    norm_AB = _p_norm(np.linalg.svd(Am @ Bm, compute_uv=False), p)
-
-    lt_lhs, lt_rhs = lieb_thirring_check(An, Bn, p)
-    gamma = lt_rhs ** (1.0 / p)
-    beta = norm_Y
-
-    level_p = schatten_verify(PSDMatrix(Am @ Am), PSDMatrix(Bm @ Bm), p)
-    link_psi = psi_link(p, gamma)
-
-    links = (
-        check_link("triangle", lhs_2p, norm_Y + 2.0 * norm_X),
-        check_link("symmetrized_product", norm_X, norm_AB),
-        check_link("trace_rearrangement", lt_lhs, lt_rhs),
-        check_link("level_p", level_p.lhs, level_p.rhs),
-        link_psi,
-        check_link("overall", lhs_2p, link_psi.rhs),
-    )
-    return SchattenDoublingReport(
-        p=p,
-        gamma=float(gamma),
-        beta=float(beta),
-        lhs_2p=float(lhs_2p),
-        final_bound=link_psi.rhs,
-        final_bound_power_p=float(2.0 * (1.0 + gamma) ** (2.0 * p - 1.0)),
-        links=links,
-    )

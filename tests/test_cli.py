@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -299,6 +300,28 @@ def test_bad_input_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--trials", "3"], "missing/d/x.json"),  # no such directory
+        (["contour", "--na", "3", "--np", "3"], "."),  # a directory
+        # opens, and fails on the write; read-only to a user other than root
+        pytest.param(
+            ["contour", "--na", "3", "--np", "3"], "/proc/version",
+            marks=pytest.mark.skipif(not os.path.isfile("/proc/version"), reason="no /proc"),
+        ),
+    ],
+    ids=["missing directory", "directory", "proc file"],
+)
+def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys):
+    out = os.path.join(tmp_path, target)
+    assert run(parse_config(argv + ["--out", out])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(out) in err[0]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # argparse reads --c as the prefix of --c-grid
@@ -389,6 +412,9 @@ import sharplp.cli as cli
 def loaded():
     return sorted(m for m, mod in sys.modules.items() if m.startswith(("scipy", "mpmath")) and mod)
 
+def package():
+    return sorted(m for m in sys.modules if m.startswith("sharplp."))
+
 def out_of(args, mode="double"):
     os.environ["SHARPLP_PRECISION"] = mode
     out = io.StringIO()
@@ -396,22 +422,24 @@ def out_of(args, mode="double"):
         code = cli.run(cli.parse_config(args))
     return [code, out.getvalue()]
 
-steps = [["import", loaded()]]
+steps = [["import", loaded(), package()]]
 if not os.environ.get("FIRST"):
     for args in (["verify", "--trials", "3"], ["contour", "--na", "4", "--np", "4"],
                  ["schatten", "--trials", "2"], ["means", "--trials", "3"], ["sharpness"]):
         assert out_of(args)[0] == 0
-        steps.append([args[0], loaded()])
+        steps.append([args[0], loaded(), package()])
     with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):
         cli.parse_config(["verify", "--no-such-option"])
-    steps.append(["rejection", loaded()])
+    steps.append(["rejection", loaded(), package()])
+before = set(package())
 audit = out_of(["audit", "--c-grid=0.35", "--points", "1000"])
-steps.append(["audit", "mpmath" in sys.modules])
+steps.append(["audit", "mpmath" in sys.modules, sorted(set(package()) - before)])
 verify = out_of(["verify", "--trials", "1"], "high")
 print(json.dumps([steps, audit, verify]))
 """
 
 
+@functools.cache
 def _import_probe(first):
     src = os.path.dirname(os.path.dirname(sharplp.__file__))
     env = {**os.environ, "PYTHONPATH": src, "FIRST": "1" if first else ""}
@@ -430,14 +458,27 @@ def test_cli_imports_without_scipy():
     # argparse rejection, and what it computes then equals the output of a
     # process that imported mpmath before sharplp
     steps, audit_out, verify_out = _import_probe(first=False)
-    assert steps[:-1] == [
+    assert [step[:2] for step in steps[:-1]] == [
         [step, []]
         for step in ("import", "verify", "contour", "schatten", "means", "sharpness", "rejection")
     ]
-    assert steps[-1] == ["audit", True]
+    assert steps[-1][:2] == ["audit", True]
     _, first_audit, first_verify = _import_probe(first=True)
     assert audit_out == first_audit and audit_out[0] == 0
     assert verify_out == first_verify and verify_out[0] == 0
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["after double commands", "first"])
+def test_commands_load_only_the_modules_they_run(first):
+    # importing the CLI loads neither the audit nor the doubling module, the
+    # double commands and an argparse rejection load no sharplp module the
+    # import did not, and the audit loads its own module and nothing else
+    steps, _, _ = _import_probe(first)
+    imported = steps[0][2]
+    assert "sharplp.cli" in imported
+    assert "sharplp.audit" not in imported and "sharplp.doubling" not in imported
+    assert [step[2] for step in steps[1:-1]] == [imported] * (0 if first else 6)
+    assert steps[-1][2] == ["sharplp.audit"]
 
 
 def test_only_precision_imports_mpmath():

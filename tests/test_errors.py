@@ -16,11 +16,13 @@ from sharplp.audit import (
     h_of_a,
     hyperbolic_point,
     invert_b,
+    jensen_audit,
     sign_changes,
 )
 from sharplp.campaigns import means_campaign, schatten_campaign, verify_campaign
+from sharplp.doubling import schatten_doubling
 from sharplp.errors import SharpLpError
-from sharplp.inequality import detect_equality_case, jensen_audit, main_sides
+from sharplp.inequality import detect_equality_case, main_sides
 from sharplp.measure import MeasureSpace, SimpleFunction, check_stack
 from sharplp.precision import active_mode
 from sharplp.schatten import (
@@ -28,7 +30,6 @@ from sharplp.schatten import (
     PSDStack,
     random_psd,
     random_psd_stack,
-    schatten_doubling,
     schatten_verify_stack,
 )
 

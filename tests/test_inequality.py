@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharplp.audit import JensenDirection, jensen_audit
 from sharplp.errors import (
     MisalignedFunction,
     NonpositiveValueForNegativeP,
@@ -12,10 +13,8 @@ from sharplp.errors import (
 )
 from sharplp.inequality import (
     EqualityKind,
-    JensenDirection,
     detect_equality_case,
     gamma_pair,
-    jensen_audit,
     main_sides,
 )
 from sharplp.measure import (

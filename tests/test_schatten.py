@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sharplp.doubling import schatten_doubling
 from sharplp.errors import (
     DimOutOfRange,
     ExponentOutOfRange,
@@ -17,7 +18,6 @@ from sharplp.schatten import (
     lieb_thirring_stack,
     random_psd,
     random_psd_stack,
-    schatten_doubling,
     schatten_norm,
     schatten_verify,
     schatten_verify_stack,

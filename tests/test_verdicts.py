@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sharplp.campaigns import random_instance
-from sharplp.doubling import direct_p4, doubling_step, psi, psi_link
+from sharplp.doubling import direct_p4, doubling_step, psi, psi_link, schatten_doubling
 from sharplp.inequality import main_sides
 from sharplp.measure import (
     SLACK,
@@ -21,7 +21,7 @@ from sharplp.measure import (
     forward_region,
     relative_violation,
 )
-from sharplp.schatten import random_psd, schatten_doubling, schatten_verify
+from sharplp.schatten import random_psd, schatten_verify
 
 
 def test_relative_violation_forward_and_reverse():
