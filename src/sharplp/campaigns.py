@@ -8,6 +8,8 @@ the sharpened inequality.
 Every exponent of ``verify_campaign``, ``means_campaign``,
 ``sharpness_campaign`` and ``factor_grid`` passes the exponent rule,
 ``measure.check_p_value``, before any work; the kernels accept every p != 0.
+``schatten_campaign`` checks its exponents, p in {2, 4, 8, ...}, before any
+draw too.
 
 The campaigns are batched over stacked arrays, not one Python call per
 instance: ``verify_campaign`` draws the instances of one exponent into
@@ -42,7 +44,7 @@ from .measure import (
 )
 from .errors import InvalidDraw, NumericRange
 from .precision import backend, require_finite
-from .schatten import _SpectralPair, random_psd_stack
+from .schatten import _SpectralPair, check_trace_exponent, random_psd_stack
 
 FORWARD_PS = (0.3, 0.7, 2.5, 3.0, 4.5, 9.0)
 REVERSE_PS = (-3.0, -0.7, 1.2, 1.8)
@@ -251,6 +253,8 @@ def schatten_campaign(
     eigendecompositions, and every exponent is evaluated on those stacks.
     """
     _check_draws(seed, trials)
+    for p in ps:
+        check_trace_exponent(p)
     failures = {"bound": 0, "rearrangement": 0, "identity_p2": 0}
     max_violation = 0.0
     checked = 0

@@ -41,9 +41,10 @@ from .measure import (
     check_stack,
     forward_region,
     masked_power_rows,
+    masked_sum_rows,
     relative_violation,
 )
-from .precision import backend, require_finite
+from .precision import FLOAT, backend, require_finite
 
 
 class EqualityKind(enum.Enum):
@@ -116,33 +117,47 @@ def main_sides_batch(
     g, _, _ = check_stack(g, weights, mask)
     _validate_pair(f[mask], g[mask], p)
     with backend() as xp:
-        # each point's values go to the backend once (padding never does), and
-        # (f+g)^p, f^p, g^p and (fg)^(p/2) are its only powers
+        # each point's values go to the backend once (padding never does)
         fm, gm = (xp.asarray(np.abs(a[mask])) for a in (f, g))
         wm = xp.asarray(weights[mask])
+        pv = xp.asarray(p)  # exponents formed in the backend, too
         lhs = masked_power_rows(xp, fm + gm, wm, mask, p)
-        F = masked_power_rows(xp, fm, wm, mask, p)
-        G = masked_power_rows(xp, gm, wm, mask, p)
+        if xp is FLOAT:
+            F = masked_power_rows(xp, fm, wm, mask, p)
+            G = masked_power_rows(xp, gm, wm, mask, p)
+        else:
+            # at 50 digits f^p and g^p are formed once; they also give the
+            # overlap terms (fg)^(p/2) = sqrt(f^p g^p) below
+            fp, gp = fm ** pv, gm ** pv
+            F, G = masked_sum_rows(wm * fp, mask), masked_sum_rows(wm * gp, mask)
         S = F + G
         if np.any(S == 0.0):
             raise ZeroNorm("f and g cannot both vanish identically")
         # fg must be finite, and positive for p < 0, in doubles, as overlap_rows asks
         _checked_rows(f * g, weights, mask, p / 2.0)
-        ov = masked_power_rows(xp, fm * gm, wm, mask, p / 2.0, root=True)
+        both = (F > 0.0) & (G > 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            pv = xp.asarray(p)  # exponents formed in the backend, too
-            gamma_tilde = ov * (S / 2.0) ** (-2.0 / pv)
+            if xp is FLOAT:
+                # doubles divide norms: f^p g^p may overflow where (fg)^(p/2)
+                # is finite, and a ratio raised to 2/p magnifies its last bit
+                # by 2/|p| (above |p| = 8 these roots may differ from
+                # masked_power_rows' roots in the last bit)
+                ov = masked_power_rows(xp, fm * gm, wm, mask, p / 2.0, root=True)
+                gamma_tilde = ov * (S / 2.0) ** (-2.0 / pv)
+                root = 1.0 / pv
+                gamma_both = ov[both] / (F[both] ** root * G[both] ** root)
+            else:
+                # at 50 digits one power per ratio: its error is at most
+                # (2/|p|) 2^-166 relative, 2.1e-41 at |p| = 1e-9
+                OV = masked_sum_rows(wm * xp.sqrt(fp * gp), mask)
+                q = 2.0 / pv
+                gamma_tilde = (OV / (S / 2.0)) ** q
+                gamma_both = (OV[both] / xp.sqrt(F[both] * G[both])) ** q
             rhs = (1.0 + gamma_tilde) ** (pv - 1.0) * S
-
-            both = (F > 0.0) & (G > 0.0)
             gamma = np.full(lhs.shape, math.nan, dtype=lhs.dtype)
             carbery_rhs = gamma.copy()
-            # the norms are the 1/p-th roots of the functionals (in doubles
-            # above |p| = 8 they may differ from masked_power_rows' roots in
-            # the last bit)
-            root = 1.0 / pv
-            gamma[both] = ov[both] / (F[both] ** root * G[both] ** root)
-            carbery_rhs[both] = (1.0 + gamma[both]) ** (pv - 1.0) * S[both]
+            gamma[both] = gamma_both
+            carbery_rhs[both] = (1.0 + gamma_both) ** (pv - 1.0) * S[both]
     require_finite(
         p, rhs=rhs, gamma_tilde=gamma_tilde,
         gamma=gamma[both], carbery_rhs=carbery_rhs[both],

@@ -259,13 +259,18 @@ def masked_power_rows(xp, v, w, mask, p: float, root: bool = False) -> np.ndarra
             out = np.exp(ls / p if root else ls)
         else:
             pw = xp.asarray(p)
-            masked = w * v ** pw
-            terms = np.zeros(mask.shape, dtype=masked.dtype)
-            terms[mask] = masked
-            total = terms.sum(axis=1)
+            total = masked_sum_rows(w * v ** pw, mask)
             out = total ** (1.0 / pw) if root else total
     require_finite(p, functional=out)
     return out
+
+
+def masked_sum_rows(terms, mask) -> np.ndarray:
+    """Row-wise sum of ``terms``, the entries of a stack where ``mask`` is
+    True, in row order; a row's padding adds nothing."""
+    rows = np.zeros(mask.shape, dtype=terms.dtype)
+    rows[mask] = terms
+    return rows.sum(axis=1)
 
 
 def lp_functional_rows(

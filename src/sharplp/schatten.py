@@ -327,12 +327,7 @@ class _SpectralPair:
         return trace
 
     def verify(self, p: float, allow_unproven: bool = False) -> SchattenBatch:
-        p = float(p)
-        if not _is_power_of_two_exponent(p) and not (allow_unproven and p > 2.0):
-            raise UnsupportedExponent(
-                "the trace bound is established only for p = 2^k; "
-                "pass allow_unproven=True to explore other p > 2"
-            )
+        p = check_trace_exponent(p, allow_unproven)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             lhs = np.sum(self.sum_eigvals ** p, axis=-1)
             S = np.sum(self.A.eigvals ** p, axis=-1) + np.sum(self.B.eigvals ** p, axis=-1)
@@ -357,6 +352,17 @@ def _is_power_of_two_exponent(p: float) -> bool:
         return False
     n = int(p)
     return n & (n - 1) == 0
+
+
+def check_trace_exponent(p: float, allow_unproven: bool = False) -> float:
+    """The exponents of the trace bound: p in {2, 4, 8, ...}, or with
+    ``allow_unproven`` any p > 2; UnsupportedExponent otherwise."""
+    p = float(p)
+    if not _is_power_of_two_exponent(p) and not (allow_unproven and p > 2.0):
+        raise UnsupportedExponent(
+            f"the trace bound is established only for p = 2, 4, 8, ... (2^k), got {p!r}"
+        )
+    return p
 
 
 def schatten_verify_stack(

@@ -221,12 +221,13 @@ def h_terms(t, c):
         return [c * mpmath.log(X), -mpmath.log(abs(N)), mpmath.log(abs(D))]
 
 
-def sides(f, g, w, p):
+def sides(f, g, w, p, dps=DPS):
     """Both sides of the bound on one instance, with its coupling ratios:
     lhs = sum w (f+g)^p, S = sum w (f^p + g^p), N = (sum w (fg)^(p/2))^(2/p),
     gamma_tilde = N (S/2)^(-2/p), rhs = (1 + gamma_tilde)^(p-1) S,
-    gamma = N / (||f||_p ||g||_p) and Carbery's rhs (1 + gamma)^(p-1) S."""
-    with mpmath.workdps(DPS):
+    gamma = N / (||f||_p ||g||_p) and Carbery's rhs (1 + gamma)^(p-1) S;
+    the last two are NaN where f or g vanishes.  At ``dps`` digits."""
+    with mpmath.workdps(dps):
         p = mpmath.mpf(p)
         points = [_mpf(*point) for point in zip(f, g, w)]
         lhs = mpmath.fsum(wi * (fi + gi) ** p for fi, gi, wi in points)
@@ -234,7 +235,7 @@ def sides(f, g, w, p):
         G = mpmath.fsum(wi * gi ** p for _, gi, wi in points)
         N = mpmath.fsum(wi * (fi * gi) ** (p / 2) for fi, gi, wi in points) ** (2 / p)
         gamma_tilde = N * ((F + G) / 2) ** (-2 / p)
-        gamma = N / (F ** (1 / p) * G ** (1 / p))
+        gamma = N / (F ** (1 / p) * G ** (1 / p)) if F and G else mpmath.nan
         return {
             "lhs": lhs,
             "rhs": (1 + gamma_tilde) ** (p - 1) * (F + G),

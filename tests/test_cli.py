@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import sharplp
-from sharplp import audit, cli
+from sharplp import audit, campaigns, cli
 from sharplp.cli import CommandConfig, main, parse_config, run
 
 
@@ -84,6 +84,29 @@ def test_verify_deterministic(tmp_path):
     _, out1 = _run(["verify", "--trials", "30"], tmp_path, "a.json")
     _, out2 = _run(["verify", "--trials", "30"], tmp_path, "b.json")
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_fifty_digit_verify_forms_each_power_once(tmp_path, monkeypatch):
+    # each point's f^p and g^p also give (fg)^(p/2), and each coupling ratio
+    # is one power: the form with norms took 6,620 mpf powers here, 4,011 of
+    # them a log and an exp
+    import mpmath
+    from mpmath.libmp import libelefun
+
+    counts = {"pow": 0, "log": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    monkeypatch.setattr(mpmath.mpf, "__pow__", counted("pow", mpmath.mpf.__pow__))
+    monkeypatch.setattr(libelefun, "mpf_log", counted("log", libelefun.mpf_log))
+    code, _ = _run(["verify", "--seed", "0", "--trials", "20"], tmp_path)
+    assert code == 0
+    assert counts["pow"] <= 4_900 and counts["log"] <= 2_700, counts
 
 
 def test_verify_p_list(tmp_path):
@@ -169,6 +192,20 @@ def test_schatten_command(tmp_path):
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert summary["passed"] is True
     assert summary["dims"] == [2]
+
+
+@pytest.mark.parametrize("p_list", ["3", "2,3", "4,6", "0", "-2", "1"])
+def test_schatten_refuses_other_exponents_before_any_draw(p_list, monkeypatch, capsys):
+    # every exponent is checked before the first PSD stack is drawn, and the
+    # error names the exponents the command accepts, not a library flag
+    def no_draw(*args):
+        raise AssertionError("drew PSD stacks before checking the exponents")
+
+    monkeypatch.setattr(campaigns, "random_psd_stack", no_draw)
+    assert run(parse_config(["schatten", f"--p-list={p_list}", "--dim", "2"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2, 4, 8" in captured.err and "allow_unproven" not in captured.err
 
 
 def test_means_command(tmp_path):

@@ -157,3 +157,28 @@ def test_fifty_digit_sides_match_oracle(p, monkeypatch):
                 got = getattr(sides, name)[k]
                 # the ratios are exactly 0 on the disjoint pair
                 assert abs(got - value) <= 1e-40 * abs(value), (k, name, got, value)
+
+
+@pytest.mark.parametrize("p", [-20.0, -3.0, -0.7, 1e-3, 0.3, 1.2, 2.5, 3.0, 4.5, 9.0, 20.0])
+def test_fifty_digit_sides_match_norm_forms_at_eighty_digits(p, monkeypatch):
+    # 50 digits form (fg)^(p/2) as sqrt(f^p g^p) and each ratio with one
+    # power; the oracle's norm forms at 80 digits are the reference.  Raising
+    # to 2/p magnifies the 50-digit roundoff of the sums by 2/|p| in either
+    # form, so below |p| = 2 the bound grows with it.
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    f, g, w, mask = _ragged_stack(p)
+    if forward_region(p):  # and a row where f vanishes: gamma is NaN there
+        last = (0.0 * f, g, w, mask)
+        f, g, w, mask = (np.vstack([a, b[-1:]]) for a, b in zip((f, g, w, mask), last))
+    sides = main_sides_batch(f, g, w, p, mask)
+    tol = 2.0 ** -160 * max(1.0, 2.0 / abs(p))
+    with mpmath.workdps(80):
+        for k in range(mask.shape[0]):
+            m = mask[k]
+            want = oracle.sides(f[k, m].tolist(), g[k, m].tolist(), w[k, m].tolist(), p, dps=80)
+            for name, value in want.items():
+                got = getattr(sides, name)[k]
+                if mpmath.isnan(value):
+                    assert mpmath.isnan(got), (k, name, got)
+                else:
+                    assert abs(got - value) <= tol * abs(value), (k, name, got, value)
