@@ -136,11 +136,19 @@ def _check_a(a: float, p: float) -> bool:
 
 
 def _b(xp, a, p):
-    """b(a) = a^p + (1-a)^p for a in (0, 1)."""
+    """b(a) = a^p + (1-a)^p for a in (0, 1), elementwise over an array of a."""
     a, pv = xp.asarray(a), xp.asarray(p)
-    b = xp.exp(xp.logaddexp(pv * xp.log(a), pv * xp.log1p(-a)))
+    b = xp.exp(xp.logaddexp(xp.log(a) * pv, xp.log1p(-a) * pv))
     require_finite(p, b=b)
     return b
+
+
+def _h(xp, a, p):
+    """h(a) = (a(1-a))^(p/2) for a in (0, 1), elementwise over an array of a."""
+    a, pv = xp.asarray(a), xp.asarray(p)
+    h = xp.exp((xp.log(a) + xp.log1p(-a)) * (0.5 * pv))
+    require_finite(p, h=h)
+    return h
 
 
 def h_of_a(a: float, p: float) -> float:
@@ -149,10 +157,7 @@ def h_of_a(a: float, p: float) -> float:
     if _check_a(a, p):
         return 0.0
     with backend() as xp:
-        a, pv = xp.asarray(a), xp.asarray(p)
-        h = xp.exp(0.5 * pv * (xp.log(a) + xp.log1p(-a)))
-    require_finite(p, h=h)
-    return h
+        return _h(xp, a, p)
 
 
 def invert_b(b_target: float, p: float) -> float:
@@ -163,58 +168,65 @@ def invert_b(b_target: float, p: float) -> float:
     wherever double precision can represent a preimage that accurately (b is
     steep near a = 1 for p < 0, where the nearest representable a is
     returned); for p < 0 the upper bracket expands toward 1 until it encloses
-    the target.
+    the target.  The bisection stays in doubles in both precision modes: the
+    target is read as a double and every probe a is one; only b(a) is formed
+    in the backend ``SHARPLP_PRECISION`` selects.
     """
     b_target, p = float(b_target), _check_exponent(p)
     if p == 1.0:
         raise ExponentOutOfRange("b is identically 1 at p = 1; nothing to invert")
     with backend() as xp:
-        tol = 1e-14 * max(1.0, abs(b_target))
-        b_half = _b(xp, 0.5, p)  # 2^(1-p), the symmetric extremum
-        if b_target == b_half:
-            return 0.5
+        return _invert_b(xp, b_target, p)
 
-        if p > 0.0:
-            lo_val, hi_val = (b_half, 1.0) if p > 1.0 else (1.0, b_half)
-            lo_b, hi_b = min(lo_val, hi_val), max(lo_val, hi_val)
-            slack = 1e-9 * max(1.0, hi_b)
-            if not lo_b - slack <= b_target <= hi_b + slack:
-                raise TargetOutOfRange(
-                    f"b_target={b_target} outside attainable range [{lo_b}, {hi_b}]"
-                )
-            b_target = min(max(b_target, lo_b), hi_b)
-            if b_target == 1.0:
-                return 1.0
-            lo, hi = 0.5, 1.0 - 1e-16
-            increasing = p > 1.0
-        else:
-            if b_target < b_half * (1.0 - 1e-12):
-                raise TargetOutOfRange(
-                    f"b_target={b_target} below the minimum {b_half} for p={p}"
-                )
-            b_target = max(b_target, b_half)
-            lo, hi = 0.5, 0.75
-            while _b(xp, hi, p) < b_target:
-                hi = 0.5 * (1.0 + hi)
-                if 1.0 - hi < 1e-15:
-                    if _b(xp, hi, p) < b_target:
-                        raise TargetOutOfRange(
-                            f"b_target={b_target} needs a closer to 1 than double "
-                            "precision can represent"
-                        )
-                    break
-            increasing = True
 
-        for _ in range(200):
-            a = 0.5 * (lo + hi)
-            val = _b(xp, a, p)
-            if abs(val - b_target) <= tol or hi - lo <= 1e-17:
+def _invert_b(xp, b_target: float, p: float) -> float:
+    """``invert_b`` in backend ``xp``, for a double target and p not 0 or 1."""
+    tol = 1e-14 * max(1.0, abs(b_target))
+    b_half = _b(xp, 0.5, p)  # 2^(1-p), the symmetric extremum
+    if b_target == b_half:
+        return 0.5
+
+    if p > 0.0:
+        lo_val, hi_val = (b_half, 1.0) if p > 1.0 else (1.0, b_half)
+        lo_b, hi_b = min(lo_val, hi_val), max(lo_val, hi_val)
+        slack = 1e-9 * max(1.0, hi_b)
+        if not lo_b - slack <= b_target <= hi_b + slack:
+            raise TargetOutOfRange(
+                f"b_target={b_target} outside attainable range [{lo_b}, {hi_b}]"
+            )
+        b_target = min(max(b_target, lo_b), hi_b)
+        if b_target == 1.0:
+            return 1.0
+        lo, hi = 0.5, 1.0 - 1e-16
+        increasing = p > 1.0
+    else:
+        if b_target < b_half * (1.0 - 1e-12):
+            raise TargetOutOfRange(
+                f"b_target={b_target} below the minimum {b_half} for p={p}"
+            )
+        b_target = max(b_target, b_half)
+        lo, hi = 0.5, 0.75
+        while _b(xp, hi, p) < b_target:
+            hi = 0.5 * (1.0 + hi)
+            if 1.0 - hi < 1e-15:
+                if _b(xp, hi, p) < b_target:
+                    raise TargetOutOfRange(
+                        f"b_target={b_target} needs a closer to 1 than double "
+                        "precision can represent"
+                    )
                 break
-            if (val < b_target) == increasing:
-                lo = a
-            else:
-                hi = a
-        return a
+        increasing = True
+
+    for _ in range(200):
+        a = 0.5 * (lo + hi)
+        val = _b(xp, a, p)
+        if abs(val - b_target) <= tol or hi - lo <= 1e-17:
+            break
+        if (val < b_target) == increasing:
+            lo = a
+        else:
+            hi = a
+    return a
 
 
 @dataclass(frozen=True)
@@ -314,7 +326,10 @@ def jensen_audit(
 
     With b(a) = a^p + (1-a)^p and H the coupling value expressed as a function
     of b, the mean of H(b(alpha)) over a probability space lies above H of the
-    mean for p > 2 (H convex) and below it for p < 2 (H concave).
+    mean for p > 2 (H convex) and below it for p < 2 (H concave).  The mode of
+    ``SHARPLP_PRECISION`` is read once: B, mean_H and H_of_B are formed in its
+    backend (mpf at 50 digits), with b and h as ``invert_b`` and ``h_of_a``
+    form them; the inversion of B bisects on doubles.
     """
     p = _check_exponent(p)
     if p in (1.0, 2.0):
@@ -329,10 +344,9 @@ def jensen_audit(
     if p < 0.0 and (np.any(a == 0.0) or np.any(a == 1.0)):
         raise OutOfRangeAlpha("p < 0 requires alpha strictly inside (0, 1)")
 
-    mean_H = float(np.sum(w * (a * (1.0 - a)) ** (p / 2.0)))
-    B = float(np.sum(w * (a ** p + (1.0 - a) ** p)))
-    a_star = invert_b(B, p)
-    H_of_B = h_of_a(a_star, p)
+    with backend() as xp, np.errstate(divide="ignore"):  # log 0 at a = 0 or 1
+        B, mean_H = np.sum(w * _b(xp, a, p)), np.sum(w * _h(xp, a, p))
+        H_of_B = _h(xp, _invert_b(xp, float(B), p), p)
 
     direction = (
         JensenDirection.MEAN_AT_LEAST if p > 2.0 else JensenDirection.MEAN_AT_MOST

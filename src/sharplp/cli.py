@@ -266,8 +266,6 @@ def _run_contour(config: CommandConfig) -> int:
         raise UsageError("grid counts must be at least 2")
     if not o["alpha_min"] < o["alpha_max"] or not o["p_min"] < o["p_max"]:
         raise UsageError("ranges must be ordered (min < max)")
-    if not (0.0 <= o["alpha_min"] and o["alpha_max"] <= 1.0):
-        raise UsageError("alpha range must lie within [0, 1]")
     alphas, ps, values = campaigns.factor_grid(
         o["alpha_min"], o["alpha_max"], o["p_min"], o["p_max"],
         o["n_alpha"], o["n_p"],

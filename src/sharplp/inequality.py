@@ -12,6 +12,11 @@ gamma = ||fg||_{p/2} / (||f||_p ||g||_p) and is dominated for p >= 2.
 
 ``main_sides_batch`` evaluates both sides for a whole stack of instances in
 one array pass; ``main_sides`` and ``gamma_pair`` are that kernel on one row.
+It checks the weights and mask once, with f (``check_stack``), then g against
+them, then f, g >= 0 and, for p < 0 or 1 < p < 2, f, g > 0.  Only its double
+branch forms fg, and holds it to ``measure._product``'s rule: a product that
+overflows, or underflows to 0 with p < 0, raises NumericRange.  The 50-digit
+branch takes (fg)^(p/2) as sqrt(f^p g^p) and never forms fg.
 The averaging step of the proof, ``jensen_audit``, is checked in ``audit``.
 """
 from __future__ import annotations
@@ -23,11 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
     ZeroNorm,
-    ZeroSumPoint,
 )
 from .measure import (
     SLACK,
@@ -35,9 +38,10 @@ from .measure import (
     MeasureSpace,
     RegionKind,
     SimpleFunction,
-    _check_aligned,
     _check_exponent,
-    _checked_rows,
+    _check_values,
+    _positive_sum,
+    _product,
     check_stack,
     forward_region,
     masked_power_rows,
@@ -114,11 +118,11 @@ def main_sides_batch(
     """
     p = float(p)
     f, weights, mask = check_stack(f, weights, mask)
-    g, _, _ = check_stack(g, weights, mask)
-    _validate_pair(f[mask], g[mask], p)
+    fm, gm = f[mask], _check_values(g, mask)[mask]
+    _validate_pair(fm, gm, p)
     with backend() as xp:
         # each point's values go to the backend once (padding never does)
-        fm, gm = (xp.asarray(np.abs(a[mask])) for a in (f, g))
+        fm, gm = xp.asarray(np.abs(fm)), xp.asarray(np.abs(gm))
         wm = xp.asarray(weights[mask])
         pv = xp.asarray(p)  # exponents formed in the backend, too
         lhs = masked_power_rows(xp, fm + gm, wm, mask, p)
@@ -133,8 +137,6 @@ def main_sides_batch(
         S = F + G
         if np.any(S == 0.0):
             raise ZeroNorm("f and g cannot both vanish identically")
-        # fg must be finite, and positive for p < 0, in doubles, as overlap_rows asks
-        _checked_rows(f * g, weights, mask, p / 2.0)
         both = (F > 0.0) & (G > 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             if xp is FLOAT:
@@ -142,7 +144,8 @@ def main_sides_batch(
                 # is finite, and a ratio raised to 2/p magnifies its last bit
                 # by 2/|p| (above |p| = 8 these roots may differ from
                 # masked_power_rows' roots in the last bit)
-                ov = masked_power_rows(xp, fm * gm, wm, mask, p / 2.0, root=True)
+                fg = _product(xp, fm, gm, p)
+                ov = masked_power_rows(xp, fg, wm, mask, p / 2.0, root=True)
                 gamma_tilde = ov * (S / 2.0) ** (-2.0 / pv)
                 root = 1.0 / pv
                 gamma_both = ov[both] / (F[both] ** root * G[both] ** root)
@@ -167,20 +170,11 @@ def main_sides_batch(
     )
 
 
-def _one_row(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float) -> SidesBatch:
-    if len(f) != len(space) or len(g) != len(space):
-        raise MisalignedFunction(
-            f"functions have {len(f)} and {len(g)} values but the space has "
-            f"{len(space)} points"
-        )
-    return main_sides_batch(f.values[None], g.values[None], space.weights[None], p)
-
-
 def gamma_pair(
     f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float
 ) -> tuple[float, float]:
     """Both coupling ratios (gamma, gamma_tilde); gamma_tilde <= gamma for p > 0."""
-    sides = _one_row(f, g, space, p)
+    sides = main_sides_batch(f.values[None], g.values[None], space.weights[None], p)
     gamma = sides.gamma.item(0)
     if math.isnan(gamma):  # f or g vanishes identically
         raise ZeroNorm("gamma needs nonzero norms of both functions")
@@ -197,7 +191,7 @@ def main_sides(
     ``main_sides_batch`` on one row.
     """
     p = float(p)
-    sides = _one_row(f, g, space, p)
+    sides = main_sides_batch(f.values[None], g.values[None], space.weights[None], p)
     lhs, rhs, gamma = sides.lhs.item(0), sides.rhs.item(0), sides.gamma.item(0)
     carbery_rhs = None if math.isnan(gamma) else sides.carbery_rhs.item(0)
 
@@ -230,13 +224,7 @@ def detect_equality_case(
     constant max{alpha, 1-alpha} (the two functions are pointwise a constant
     split of their sum, up to swapping roles).
     """
-    _check_aligned(f, space)
-    _check_aligned(g, space)
-    if np.any(f.values < 0.0) or np.any(g.values < 0.0):
-        raise NegativeInput("f and g must be nonnegative")
-    s = f.values + g.values
-    if np.any(s <= 0.0):
-        raise ZeroSumPoint("f + g must be strictly positive at every point")
+    s = _positive_sum(f, g, space)
     if np.all(f.values * g.values <= tol * s * s):
         return EqualityCase(kind=EqualityKind.DISJOINT_SUPPORT, constant=None)
     if np.all(np.abs(f.values - g.values) <= tol * s):

@@ -15,6 +15,19 @@ digits, from those entries alone, so a caller converts each value to the
 backend once; only doubles switch to per-term logs above |p| = 8, to stay in
 range.
 
+Each input rule is checked once, where it applies.  ``check_stack`` holds a
+stack to its shape, its points, its weights and its values, and
+``_check_values`` holds a second stack of values (g beside f) to the same
+value rules against the mask already checked.  Each ``*_rows`` kernel checks
+p != 0, and its scalar function leaves every check to it, the alignment of
+a function with its space included.  For p < 0 ``lp_functional_rows``
+and ``lp_norm_rows`` need positive values, and ``overlap_norm_rows`` needs
+fg > 0 at every point, read from the signs of f and g.  The rule on the
+product fg applies only where doubles form it (``_product``); at 50 digits
+fg stays in range.  ``reduce_to_probability`` and
+``inequality.detect_equality_case`` share one check for f, g >= 0 and
+f + g > 0 (``_positive_sum``).
+
 Every check of the toolkit passes when ``relative_violation`` of its two
 sides, in the direction ``forward_region`` gives, is at most ``SLACK``.
 Every campaign reads its exponents through ``check_p_value``, which rejects
@@ -35,6 +48,7 @@ from .errors import (
     MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
+    NumericRange,
     ZeroExponent,
     ZeroSumPoint,
 )
@@ -180,6 +194,21 @@ def _check_positive_for_negative_p(values: np.ndarray, p: float) -> None:
         )
 
 
+def _check_values(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` as doubles, held to check_stack's value rules against a
+    mask it accepted: a stack of the mask's shape, finite on its points."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise BadShape("expected an (instances, points) stack of values")
+    if values.shape != mask.shape:
+        raise MisalignedFunction(
+            f"values {values.shape} and mask {mask.shape} must have one shape"
+        )
+    if not np.isfinite(values[mask]).all():
+        raise InvalidInstance("function values must be finite")
+    return values
+
+
 def check_stack(
     values: np.ndarray, weights: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,9 +235,7 @@ def check_stack(
     w = weights[mask]
     if not (np.isfinite(w) & (w > 0.0)).all():
         raise InvalidInstance("all point masses must be strictly positive and finite")
-    if not np.isfinite(values[mask]).all():
-        raise InvalidInstance("function values must be finite")
-    return values, weights, mask
+    return _check_values(values, mask), weights, mask
 
 
 def _logsumexp_rows(logs: np.ndarray) -> np.ndarray:
@@ -226,21 +253,6 @@ def _log_functional_rows(v, w, mask, p: float) -> np.ndarray:
     logs = np.full(mask.shape, -np.inf)
     logs[mask] = np.log(w) + p * np.log(v)
     return _logsumexp_rows(logs)
-
-
-def _checked_rows(values, weights, mask, p: float):
-    p = _check_exponent(p)
-    values, weights, mask = check_stack(values, weights, mask)
-    _check_positive_for_negative_p(values[mask], p)
-    return values, weights, mask, p
-
-
-def power_rows(xp, values, weights, mask, p: float, root: bool = False) -> np.ndarray:
-    """Row-wise power functional, or its 1/p-th root, of a stack that
-    ``check_stack`` accepted, for p != 0 and (p < 0) positive values, in
-    backend ``xp``: ``masked_power_rows`` of its entries."""
-    v, w = np.abs(values[mask]), weights[mask]
-    return masked_power_rows(xp, xp.asarray(v), xp.asarray(w), mask, p, root)
 
 
 def masked_power_rows(xp, v, w, mask, p: float, root: bool = False) -> np.ndarray:
@@ -273,21 +285,44 @@ def masked_sum_rows(terms, mask) -> np.ndarray:
     return rows.sum(axis=1)
 
 
+def _product(xp, f, g, p: float):
+    """f * g in backend ``xp``, for the terms (fg)^(p/2).  A double product
+    that overflows, or for p < 0 underflows to 0, raises NumericRange: its
+    term would be 0 or infinite where the true term need not be, and the
+    root of a sum with an infinite term is 0 for p < 0.  At 50 digits the
+    product stays in range.  The caller silences overflow warnings."""
+    fg = f * g
+    if xp is FLOAT and not (np.isfinite(fg) & ((fg > 0.0) | (p > 0.0))).all():
+        raise NumericRange(
+            f"fg at exponent {p!r} leaves the double range (it overflows, or "
+            "underflows to 0 with p < 0); the 50-digit path evaluates it"
+        )
+    return fg
+
+
+def _lp_rows(values, weights, mask, p: float, root: bool) -> np.ndarray:
+    p = _check_exponent(p)
+    values, weights, mask = check_stack(values, weights, mask)
+    _check_positive_for_negative_p(values[mask], p)
+    with backend() as xp:
+        v, w = xp.asarray(np.abs(values[mask])), xp.asarray(weights[mask])
+        return masked_power_rows(xp, v, w, mask, p, root)
+
+
 def lp_functional_rows(
     values: np.ndarray, weights: np.ndarray, p: float, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Row-wise sum_j w_ij |v_ij|^p over a stack of instances, with every
-    check of lp_functional (see check_stack and power_rows)."""
-    with backend() as xp:
-        return power_rows(xp, *_checked_rows(values, weights, mask, p))
+    check of lp_functional: check_stack's, p != 0, and for p < 0 strictly
+    positive values."""
+    return _lp_rows(values, weights, mask, p, root=False)
 
 
 def lp_norm_rows(
     values: np.ndarray, weights: np.ndarray, p: float, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Row-wise 1/p-th root of lp_functional_rows."""
-    with backend() as xp:
-        return power_rows(xp, *_checked_rows(values, weights, mask, p), root=True)
+    return _lp_rows(values, weights, mask, p, root=True)
 
 
 def overlap_norm_rows(
@@ -298,33 +333,26 @@ def overlap_norm_rows(
 
     This is the coupling quantity measuring how far f and g are from having
     disjoint supports: it is 0 exactly when fg vanishes identically (p > 0).
+    f and g are each held to check_stack's rules; for p < 0, fg > 0 at every
+    point, read from the signs of f and g.  The product is formed in the
+    backend, by ``_product``.
     """
-    with backend() as xp:
-        return overlap_rows(xp, f, g, weights, p, mask)
-
-
-def overlap_rows(xp, f, g, weights, p: float, mask=None) -> np.ndarray:
-    """``overlap_norm_rows`` in backend ``xp``."""
     p = _check_exponent(p)
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    _, weights, mask, half = _checked_rows(f * g, weights, mask, p / 2.0)
-    # the product is checked in doubles and formed in the backend
-    fm, gm = (xp.asarray(np.abs(a[mask])) for a in (f, g))
-    wm = xp.asarray(weights[mask])
-    return masked_power_rows(xp, fm * gm, wm, mask, half, root=True)
+    f, weights, mask = check_stack(f, weights, mask)
+    fm, gm = f[mask], _check_values(g, mask)[mask]
+    _check_positive_for_negative_p(np.sign(fm) * np.sign(gm), p)
+    with backend() as xp, np.errstate(over="ignore"):
+        fg = _product(xp, xp.asarray(np.abs(fm)), xp.asarray(np.abs(gm)), p)
+        return masked_power_rows(xp, fg, xp.asarray(weights[mask]), mask, p / 2.0, root=True)
 
 
 def lp_functional(f: SimpleFunction, space: MeasureSpace, p: float) -> float:
     """sum_i w_i |f_i|^p for real p != 0."""
-    p = _check_exponent(p)
-    _check_aligned(f, space)
     return lp_functional_rows(f.values[None], space.weights[None], p).item(0)
 
 
 def lp_norm(f: SimpleFunction, space: MeasureSpace, p: float) -> float:
     """The 1/p-th root of lp_functional; a norm only for p >= 1."""
-    p = _check_exponent(p)
-    _check_aligned(f, space)
     return lp_norm_rows(f.values[None], space.weights[None], p).item(0)
 
 
@@ -332,12 +360,21 @@ def overlap_norm(
     f: SimpleFunction, g: SimpleFunction, space: MeasureSpace, p: float
 ) -> float:
     """Power-(p/2) root norm of the pointwise product fg (see overlap_norm_rows)."""
-    p = _check_exponent(p)
-    _check_aligned(f, space)
-    _check_aligned(g, space)
     return overlap_norm_rows(
         f.values[None], g.values[None], space.weights[None], p
     ).item(0)
+
+
+def _positive_sum(f: SimpleFunction, g: SimpleFunction, space: MeasureSpace) -> np.ndarray:
+    """f + g, for f, g >= 0 aligned to ``space`` with f + g > 0 at every point."""
+    _check_aligned(f, space)
+    _check_aligned(g, space)
+    if np.any(f.values < 0.0) or np.any(g.values < 0.0):
+        raise NegativeInput("f and g must be nonnegative")
+    s = f.values + g.values
+    if np.any(s <= 0.0):
+        raise ZeroSumPoint("f + g must be strictly positive at every point")
+    return s
 
 
 def reduce_to_probability(
@@ -351,13 +388,7 @@ def reduce_to_probability(
     space.
     """
     p = _check_exponent(p)
-    _check_aligned(f, space)
-    _check_aligned(g, space)
-    if np.any(f.values < 0.0) or np.any(g.values < 0.0):
-        raise NegativeInput("reduction requires f, g >= 0")
-    s = f.values + g.values
-    if np.any(s <= 0.0):
-        raise ZeroSumPoint("f + g must be strictly positive at every point")
+    s = _positive_sum(f, g, space)
     alpha = SimpleFunction(f.values / s)
     logs = np.log(space.weights) + p * np.log(s)
     logs -= _logsumexp_rows(logs[None])[0]

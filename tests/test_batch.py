@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from sharplp import campaigns, precision
+from sharplp import campaigns, inequality, measure, precision
 from sharplp import means as means_module
 from sharplp.campaigns import (
     MAX_POINTS,
@@ -31,6 +32,8 @@ from sharplp.errors import (
     EndpointWithNegativeP,
     ExponentOutOfRange,
     InvalidDraw,
+    InvalidInstance,
+    MisalignedFunction,
     NegativeInput,
     NonpositiveValueForNegativeP,
     NotPSD,
@@ -60,8 +63,6 @@ from sharplp.measure import (
     lp_norm_rows,
     overlap_norm,
     overlap_norm_rows,
-    overlap_rows,
-    power_rows,
     relative_violation,
 )
 from sharplp.precision import backend, mp_workdps
@@ -217,6 +218,90 @@ def test_batch_checks_every_row():
     empty[1] = False
     with pytest.raises(ValueError, match="at least one point"):
         main_sides_batch(f, g, w, 3.0, empty)
+
+
+def test_one_check_stack_pass_per_kernel_call(monkeypatch):
+    # the weights and mask are checked once, and f and g once each
+    calls, check_stack = [], measure.check_stack
+
+    def counted(*args):
+        calls.append(args)
+        return check_stack(*args)
+
+    for module in (measure, inequality):
+        monkeypatch.setattr(module, "check_stack", counted)
+    f, g, w, mask = _padded(FIXED_ROWS, 4)
+    main_sides_batch(f, g, w, -3.0, mask)
+    assert len(calls) == 1
+
+
+# f and g are finite doubles at every point, but fg is about 1e400 or 1e-400
+# at the first ``scaled`` points; with a point left in range a dropped or
+# infinite term need not make the whole overlap infinite
+_PRODUCTS_BEYOND_DOUBLES = pytest.mark.parametrize(
+    "scale, p, scaled",
+    [(s, p, n) for s, p in [(1e200, 0.5), (1e-200, -0.5), (1e200, -0.02)] for n in (3, 2)],
+)
+
+
+def _scaled_row(scale, scaled):
+    f, g = np.array([[1.0, 2.0, 0.5]]), np.array([[3.0, 1.0, 2.0]])
+    f[0, :scaled] *= scale
+    g[0, :scaled] *= scale
+    return f, g, np.array([[0.2, 0.3, 0.5]])
+
+
+@_PRODUCTS_BEYOND_DOUBLES
+def test_fifty_digits_give_a_verdict_where_only_fg_leaves_the_doubles(
+    scale, p, scaled, monkeypatch
+):
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    f, g, w = _scaled_row(scale, scaled)
+    sides = main_sides_batch(f, g, w, p)
+    overlap = overlap_norm_rows(f, g, w, p)[0]
+    points = list(zip(f[0].tolist(), g[0].tolist(), w[0].tolist()))
+    with mpmath.workdps(oracle.DPS):
+        for name, want in oracle.sides(*(list(x) for x in zip(*points)), p).items():
+            got = getattr(sides, name)[0]
+            assert abs(got - want) <= 1e-40 * abs(want), (name, got, want)
+        half = mpmath.mpf(p) / 2
+        want = mpmath.fsum(
+            mpmath.mpf(wi) * (mpmath.mpf(fi) * gi) ** half for fi, gi, wi in points
+        ) ** (1 / half)
+        assert abs(overlap - want) <= 1e-40 * want
+    assert relative_violation(sides.lhs[0], sides.rhs[0], forward_region(p)) <= SLACK
+
+
+@_PRODUCTS_BEYOND_DOUBLES
+def test_doubles_refuse_a_product_they_cannot_form(scale, p, scaled):
+    # for p < 0 an overflowed term inf^(p/2) = 0 would drop out of the sum,
+    # and a product that underflows to 0 makes the root of the sum 0
+    f, g, w = _scaled_row(scale, scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (main_sides_batch, overlap_norm_rows):
+            with pytest.raises(NumericRange):
+                kernel(f, g, w, p)
+
+
+def test_overlap_checks_f_and_g_each():
+    w = np.ones((2, 3))
+    with pytest.raises(MisalignedFunction):
+        overlap_norm_rows(np.ones((1, 3)), np.ones((2, 3)), w, 3.0)
+    f, g = np.ones((2, 3)), np.ones((2, 3))
+    f[1, 2], g[1, 2] = np.inf, 0.0  # inf * 0 is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInstance, match="finite"):
+            overlap_norm_rows(f, g, w, 3.0)
+    # for p < 0, fg > 0 at every point, read from the signs of f and g
+    ones = np.ones((1, 2))
+    assert overlap_norm_rows(-ones, -2.0 * ones, ones, -1.0) == overlap_norm_rows(
+        ones, 2.0 * ones, ones, -1.0
+    )
+    for f in (-ones, np.array([[1.0, 0.0]])):
+        with pytest.raises(NonpositiveValueForNegativeP):
+            overlap_norm_rows(f, ones, ones, -1.0)
 
 
 @pytest.mark.parametrize("p", [700.0, 1100.0, -700.0, 1e-8])
@@ -415,10 +500,10 @@ def test_campaigns_with_no_trials():
 
 def _two_pass_gamma(f, g, w, mask, p, both):
     """gamma as main_sides_batch formed it before it reused its functionals:
-    two more power_rows passes, for the norms of f and g."""
-    with backend() as xp:
-        ov = overlap_rows(xp, f, g, w, p, mask)
-        norm = lambda h: power_rows(xp, h[both], w[both], mask[both], p, root=True)
+    two more lp_norm_rows passes, for the norms of f and g."""
+    with backend():  # the quotient at the digits of the norms
+        ov = overlap_norm_rows(f, g, w, p, mask)
+        norm = lambda h: lp_norm_rows(h[both], w[both], p, mask[both])
         return ov[both] / (norm(f) * norm(g))
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -247,6 +248,22 @@ def test_jensen_random_direction():
             w /= w.sum()
             rep = jensen_audit(SimpleFunction(a), MeasureSpace(w), p)
             assert rep.satisfied
+
+
+@pytest.mark.parametrize("p", [3.5, 1.5, 0.5, -2.0])
+def test_jensen_audit_forms_its_sums_at_fifty_digits(p, monkeypatch):
+    # B and mean_H against sums made here at 80 digits, beside the mpf H_of_B
+    monkeypatch.setenv("SHARPLP_PRECISION", "high")
+    a, w = [0.9, 0.5, 0.2], [0.25, 0.25, 0.5]
+    rep = jensen_audit(SimpleFunction(a), MeasureSpace(w), p)
+    with mpmath.workdps(80):
+        a, w, q = [mpmath.mpf(x) for x in a], [mpmath.mpf(x) for x in w], mpmath.mpf(p)
+        B = mpmath.fsum(wi * (ai ** q + (1 - ai) ** q) for ai, wi in zip(a, w))
+        mean_H = mpmath.fsum(wi * (ai * (1 - ai)) ** (q / 2) for ai, wi in zip(a, w))
+        assert abs(rep.B - B) <= 1e-45 * B
+        assert abs(rep.mean_H - mean_H) <= 1e-45 * mean_H
+    assert all(isinstance(x, mpmath.mpf) for x in (rep.B, rep.mean_H, rep.H_of_B))
+    assert rep.satisfied
 
 
 def test_jensen_errors():

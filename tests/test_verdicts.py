@@ -86,13 +86,13 @@ def test_main_sides_identity_fails_in_either_direction(monkeypatch):
     from sharplp import inequality
 
     f, g, space = _instances(1)[0]
-    real = inequality._one_row
+    real = inequality.main_sides_batch
     for factor in (1.0 + 1e-6, 1.0 - 1e-6):
         def skewed(*args, factor=factor):
             sides = real(*args)
             return type(sides)(**{**sides.__dict__, "rhs": sides.rhs * factor})
 
-        monkeypatch.setattr(inequality, "_one_row", skewed)
+        monkeypatch.setattr(inequality, "main_sides_batch", skewed)
         assert not main_sides(f, g, space, 2.0).satisfied
         assert not main_sides(f, g, space, 1.0).satisfied
 
